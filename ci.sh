@@ -39,10 +39,10 @@ rm -rf "$fault_dir"
 
 echo "==> fuzz smoke (differential oracle over a seed slice + planted-bug self-test)"
 # The fuzz binary exits nonzero if any seed's program behaves differently
-# across the execution-mode/firmware/resilience/multicore matrix. The
-# stepping-mode axis has four cells — strict, predecode, fast-forward, and
-# block-compiled (superblock dispatch) — and the dual-core axis runs
-# strict/fast/block, so every seed exercises the translation cache. Every
+# across the engine/firmware/resilience/multicore matrix. The engine axis
+# has two cells — reference and fast (predecode, superblock dispatch,
+# event-driven background) — on both the single- and the dual-core SoC,
+# so every seed exercises the translation cache. Every
 # seed also sweeps the policy axis: benign plus all three corruption
 # variants (return hijack / jump-table smash / fn-ptr type confusion),
 # each of which must be flagged by exactly the predicted policy. The
@@ -60,10 +60,10 @@ ls "$fuzz_dir"/repros/*.repro.rs >/dev/null 2>&1 \
     || { echo "fuzz smoke: no reproducer written for the planted bug"; exit 1; }
 rm -rf "$fuzz_dir"
 
-echo "==> throughput smoke (fast-path fingerprints + speedup regression gate)"
+echo "==> throughput smoke (engine fingerprints + speedup regression gate)"
 # Regenerates BENCH_throughput.json in place. The binary exits nonzero if
-# the fast path's result fingerprints diverge from strict stepping, or if
-# any scenario's off/on speedup drops below 80% of the committed baseline
+# the fast engine's result fingerprints diverge from the reference engine's,
+# or if any scenario's reference/fast speedup drops below 80% of the committed baseline
 # (gate skipped when no baseline exists yet).
 cargo run --release -p titancfi-bench --bin throughput -- \
     --smoke --out BENCH_throughput.json --baseline BENCH_throughput.json

@@ -11,18 +11,17 @@
 //! * **Benign attribution** — firmware variant (polling vs IRQ) × queue
 //!   depth on the call-dense kernel, reporting p50/p95/p99/max for every
 //!   lifecycle stage (queue wait, AXI beats, firmware check, verdict
-//!   read-back) plus end-to-end. Every cell is run three times: twice in
-//!   strict stepping (rerun determinism) and once with the predecode +
-//!   quantum-batching fast path requested (the latency probe forces strict
-//!   stepping, so the metrics must come out byte-identical — that identity
-//!   is asserted, not assumed).
+//!   read-back) plus end-to-end. Every cell is run three times: twice on
+//!   the reference engine (rerun determinism) and once on the fast engine,
+//!   which the latency probe rides; the metrics must come out
+//!   byte-identical — that identity is asserted, not assumed.
 //! * **Detection latency** — corruption classes (stack-smash hijack loop,
 //!   fuzz-generated return hijacks, a wedged doorbell transport under a
 //!   fail-closed watchdog), reporting the cycles from the corrupting
 //!   event's commit-log acceptance to the violation flag.
 //!
 //! Exit is nonzero when any run breaks the per-log conservation law
-//! (stage spans must telescope exactly to end-to-end), when stepping modes
+//! (stage spans must telescope exactly to end-to-end), when the engines
 //! disagree, or when a corruption run detects nothing.
 
 use std::process::ExitCode;
@@ -32,7 +31,7 @@ use titancfi_faults::{FaultClass, FaultConfig};
 use titancfi_fuzz::{oracle::assemble_fuzz, FuzzProgram};
 use titancfi_harness::Json;
 use titancfi_obs::LatencySpans;
-use titancfi_soc::{SocConfig, SystemOnChip};
+use titancfi_soc::{Engine, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{Kernel, KERNEL_MEM};
 
 const USAGE: &str = "\
@@ -77,29 +76,29 @@ fn run_with_latency(program: &riscv_asm::Program, config: SocConfig, budget: u64
     soc.take_latency().expect("collector attached above").spans
 }
 
-/// One benign sweep cell: checks determinism across reruns and stepping
-/// modes, enforces conservation, and returns (spans, cross_mode_match).
+/// One benign sweep cell: checks determinism across reruns and engines,
+/// enforces conservation, and returns (spans, cross_mode_match).
 fn benign_cell(
     program: &riscv_asm::Program,
     firmware: FirmwareKind,
     queue_depth: usize,
     budget: u64,
 ) -> (LatencySpans, bool, bool) {
-    let config = |fast: bool| SocConfig {
+    let config = |engine: Engine| SocConfig {
         mem_size: KERNEL_MEM,
         firmware,
         queue_depth,
-        fast_path: fast,
+        engine,
         ..SocConfig::default()
     };
-    let strict = run_with_latency(program, config(false), budget);
-    let rerun = run_with_latency(program, config(false), budget);
-    let fast = run_with_latency(program, config(true), budget);
-    let strict_json = strict.to_json().encode();
+    let reference = run_with_latency(program, config(Engine::Reference), budget);
+    let rerun = run_with_latency(program, config(Engine::Reference), budget);
+    let fast = run_with_latency(program, config(Engine::Fast), budget);
+    let reference_json = reference.to_json().encode();
     let identical =
-        strict_json == rerun.to_json().encode() && strict_json == fast.to_json().encode();
-    let conserved = strict.conservation_ok();
-    (strict, identical, conserved)
+        reference_json == rerun.to_json().encode() && reference_json == fast.to_json().encode();
+    let conserved = reference.conservation_ok();
+    (reference, identical, conserved)
 }
 
 /// The stack-smash loop: every iteration saves `ra`, overwrites the slot
@@ -215,8 +214,8 @@ fn main() -> ExitCode {
             }
             if !cross_mode {
                 eprintln!(
-                    "latency: STEPPING-MODE MISMATCH {}/depth{depth}: \
-                     latency metrics must be byte-identical across strict/predecode/fast-forward",
+                    "latency: ENGINE MISMATCH {}/depth{depth}: \
+                     latency metrics must be byte-identical across the reference and fast engines",
                     firmware.name()
                 );
                 failed = true;

@@ -1,23 +1,24 @@
 //! Simulator-throughput benchmark: simulated-cycles/sec and retired
-//! instructions/sec across representative kernels, with the predecode +
-//! quantum-batching fast path on and off.
+//! instructions/sec across representative kernels, on the reference and
+//! the fast engine.
 //!
 //! ```text
 //! cargo run --release -p titancfi-bench --bin throughput -- \
 //!     --smoke --out BENCH_throughput.json --baseline BENCH_throughput.json
 //! ```
 //!
-//! Every scenario runs twice — fast path off, then on — and the two runs
-//! must produce byte-identical result fingerprints (halt reason, cycle
-//! counts, filter statistics, violations). A mismatch is a correctness bug
-//! and exits nonzero. The JSON report records per-scenario speedup, which
+//! Every scenario runs twice — reference engine, then fast engine (bare-core
+//! scenarios: raw decode, then predecode) — and the two runs must produce
+//! byte-identical result fingerprints (halt reason, cycle counts, filter
+//! statistics, violations, and latency spans where a collector rides
+//! along). A mismatch is a correctness bug and exits nonzero. The JSON report records per-scenario speedup, which
 //! is machine-portable; `--baseline` compares against a previous report and
 //! fails if any scenario's speedup regressed by more than 20 %.
 
 use std::process::ExitCode;
 use std::time::Instant;
 use titancfi_harness::Json;
-use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip};
+use titancfi_soc::{DualHostSoc, Engine, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, Kernel, KERNEL_MEM};
 
 const USAGE: &str = "\
@@ -76,12 +77,13 @@ fn kernel(name: &str) -> &'static Kernel {
     Kernel::by_name(name).unwrap_or_else(|| panic!("kernel {name}?"))
 }
 
-/// A bare CVA6 core (no CFI transport): measures the interpreter itself.
-fn run_bare_core(name: &str, fast: bool, budget: u64) -> RunOutcome {
+/// A bare CVA6 core (no CFI transport): measures the interpreter itself,
+/// with predecode standing in for the fast engine.
+fn run_bare_core(name: &str, engine: Engine, budget: u64) -> RunOutcome {
     let prog = kernel(name).program().expect("assembles");
     let mut core =
         cva6_model::Cva6Core::new(&prog, KERNEL_MEM, cva6_model::TimingConfig::default());
-    core.set_predecode(fast);
+    core.set_predecode(engine == Engine::Fast);
     let t = Instant::now();
     let halt = core.run_silent(budget);
     let wall_secs = t.elapsed().as_secs_f64();
@@ -96,13 +98,13 @@ fn run_bare_core(name: &str, fast: bool, budget: u64) -> RunOutcome {
 
 /// Every assembly kernel on the bare core, back to back — the native-suite
 /// aggregate the acceptance criteria track.
-fn run_native_suite(fast: bool, budget: u64) -> RunOutcome {
+fn run_native_suite(engine: Engine, budget: u64) -> RunOutcome {
     let mut fingerprint = String::new();
     let mut sim_cycles = 0;
     let mut instret = 0;
     let mut wall_secs = 0.0;
     for k in all_kernels() {
-        let out = run_bare_core(k.name, fast, budget);
+        let out = run_bare_core(k.name, engine, budget);
         fingerprint.push_str(k.name);
         fingerprint.push(':');
         fingerprint.push_str(&out.fingerprint);
@@ -119,22 +121,28 @@ fn run_native_suite(fast: bool, budget: u64) -> RunOutcome {
     }
 }
 
-/// The full SoC (host + CFI transport + RoT firmware): measures quantum
-/// batching on top of predecode.
-fn run_soc(name: &str, fast: bool, budget: u64) -> RunOutcome {
+/// The full SoC (host + CFI transport + RoT firmware), optionally with the
+/// latency collector attached; its serialized spans join the fingerprint.
+fn run_soc(name: &str, engine: Engine, latency: bool, budget: u64) -> RunOutcome {
     let prog = kernel(name).program().expect("assembles");
     let config = SocConfig {
         mem_size: KERNEL_MEM,
-        fast_path: fast,
+        engine,
         ..SocConfig::default()
     };
     let mut soc = SystemOnChip::new(&prog, config);
+    if latency {
+        soc.attach_latency();
+    }
     let t = Instant::now();
     let r = soc.run(budget);
     let wall_secs = t.elapsed().as_secs_f64();
+    let spans = soc
+        .latency_spans()
+        .map_or_else(String::new, |s| s.to_json().encode());
     RunOutcome {
         fingerprint: format!(
-            "{:?}|{}|{:?}|{:?}|logs={}|viol={}|hw={}|qf={}|dcf={}",
+            "{:?}|{}|{:?}|{:?}|logs={}|viol={}|hw={}|qf={}|dcf={}|spans={spans}",
             r.halt,
             r.cycles,
             r.core,
@@ -151,12 +159,12 @@ fn run_soc(name: &str, fast: bool, budget: u64) -> RunOutcome {
     }
 }
 
-/// Two hosts sharing one RoT: measures the multi-core scheduler fast path.
-fn run_multicore(fast: bool, budget: u64) -> RunOutcome {
+/// Two hosts sharing one RoT: measures the multi-core scheduler.
+fn run_multicore(engine: Engine, budget: u64) -> RunOutcome {
     let a = kernel("fib").program().expect("assembles");
     let b = kernel("towers").program().expect("assembles");
     let mut soc = DualHostSoc::new([&a, &b], KERNEL_MEM, 8);
-    soc.set_fast_path(fast);
+    soc.set_engine(engine);
     let t = Instant::now();
     let r = soc.run(budget);
     let wall_secs = t.elapsed().as_secs_f64();
@@ -178,14 +186,14 @@ struct Row {
     fingerprint_match: bool,
 }
 
-fn measure(scenario: &'static str, min_wall: f64, run: impl Fn(bool) -> RunOutcome) -> Row {
+fn measure(scenario: &'static str, min_wall: f64, run: impl Fn(Engine) -> RunOutcome) -> Row {
     // Short kernels finish in microseconds, far below timer noise on a
     // shared host — repeat each setting until `min_wall` seconds of actual
     // simulation accumulate and report the *fastest* lap. The minimum is
     // the uncontended cost: a preemption spike inflates the laps it hits,
     // which a mean dutifully averages in, while the min shrugs it off.
     // Every repetition must reproduce the first run's fingerprint exactly.
-    let timed = |setting: bool| {
+    let timed = |setting: Engine| {
         let first = run(setting);
         let mut wall = first.wall_secs;
         let mut best = first.wall_secs;
@@ -202,20 +210,20 @@ fn measure(scenario: &'static str, min_wall: f64, run: impl Fn(bool) -> RunOutco
         }
         (first, best)
     };
-    let (slow, wall_slow) = timed(false);
-    let (fast, wall_fast) = timed(true);
+    let (slow, wall_slow) = timed(Engine::Reference);
+    let (fast, wall_fast) = timed(Engine::Fast);
     let matches = slow.fingerprint == fast.fingerprint
         && slow.sim_cycles == fast.sim_cycles
         && slow.instret == fast.instret;
     if !matches {
         eprintln!("throughput: FINGERPRINT MISMATCH in `{scenario}`");
         eprintln!(
-            "  fast-off: {}",
-            slow.fingerprint.replace('\n', "\n            ")
+            "  reference: {}",
+            slow.fingerprint.replace('\n', "\n             ")
         );
         eprintln!(
-            "  fast-on:  {}",
-            fast.fingerprint.replace('\n', "\n            ")
+            "  fast:      {}",
+            fast.fingerprint.replace('\n', "\n             ")
         );
     }
     let row = Row {
@@ -232,7 +240,7 @@ fn measure(scenario: &'static str, min_wall: f64, run: impl Fn(bool) -> RunOutco
         fingerprint_match: matches,
     };
     println!(
-        "{:<16} {:>12} sim-cycles  {:>10.1} ms off  {:>10.1} ms on  {:>6.2}x  {:>12.0} cyc/s  {}",
+        "{:<18} {:>12} sim-cycles  {:>10.1} ms ref  {:>10.1} ms fast  {:>6.2}x  {:>12.0} cyc/s  {}",
         row.scenario,
         row.sim_cycles,
         row.wall_ms_slow,
@@ -248,16 +256,16 @@ fn measure(scenario: &'static str, min_wall: f64, run: impl Fn(bool) -> RunOutco
 ///   - `sim_cycles`, `instret`: work done by the fast run (multicore sums
 ///     both cores; `instret` is never zero on a scenario that retired
 ///     instructions).
-///   - `wall_ms_slow` / `wall_ms_fast`: fastest lap per setting (min over
+///   - `wall_ms_slow` / `wall_ms_fast`: fastest lap per engine (min over
 ///     repetitions — robust to preemption spikes on a shared host);
 ///     `speedup` = slow/fast: the only machine-portable number (same
 ///     binary, same host, back to back).
-///   - `regressed`: the fast path was a net slowdown beyond measurement
+///   - `regressed`: the fast engine was a net slowdown beyond measurement
 ///     noise — `speedup < 0.8`, the same 20 % tolerance the `--baseline`
 ///     gate applies, so a 0.97x wall-clock wobble on a tiny kernel does
 ///     not read as a regression.
-///   - `fingerprint_match`: fast and strict runs produced byte-identical
-///     result fingerprints.
+///   - `fingerprint_match`: the reference and fast runs produced
+///     byte-identical result fingerprints (latency spans included).
 fn report_json(mode: &str, rows: &[Row]) -> Json {
     Json::obj(vec![
         ("schema", Json::Num(2.0)),
@@ -298,7 +306,7 @@ fn report_json(mode: &str, rows: &[Row]) -> Json {
 const REGRESSED_TOLERANCE: f64 = 0.8;
 
 /// Compares per-scenario speedups against a previous report. Speedup (wall
-/// off / wall on, same machine, same binary) is the only machine-portable
+/// reference / wall fast, same machine, same binary) is the only machine-portable
 /// number in the report — absolute cycles/sec are not comparable across
 /// hosts. Returns the failures: scenarios that regressed by more than
 /// 20 %, or a baseline that gated nothing. Scenarios absent from the
@@ -374,22 +382,27 @@ fn main() -> ExitCode {
     println!("simulator throughput ({mode}, budget {budget} cycles/kernel)");
     let min_wall = if opts.smoke { 0.25 } else { 1.5 };
     let rows = vec![
-        measure("fib-recursion", min_wall, |fast| {
-            run_bare_core("fib", fast, budget)
+        measure("fib-recursion", min_wall, |engine| {
+            run_bare_core("fib", engine, budget)
         }),
-        measure("call-dense", min_wall, |fast| {
-            run_soc("dhry-calls", fast, budget)
+        measure("call-dense", min_wall, |engine| {
+            run_soc("dhry-calls", engine, false, budget)
         }),
-        measure("branch-chain", min_wall, |fast| {
-            run_soc("crc32", fast, budget)
+        measure("call-dense+latency", min_wall, |engine| {
+            run_soc("dhry-calls", engine, true, budget)
         }),
-        measure("multicore", min_wall, |fast| run_multicore(fast, budget)),
-        measure("native-suite", min_wall, |fast| {
-            run_native_suite(fast, budget)
+        measure("branch-chain", min_wall, |engine| {
+            run_soc("crc32", engine, false, budget)
+        }),
+        measure("multicore", min_wall, |engine| {
+            run_multicore(engine, budget)
+        }),
+        measure("native-suite", min_wall, |engine| {
+            run_native_suite(engine, budget)
         }),
     ];
 
-    // A speedup below the noise tolerance means the fast path *slowed that
+    // A speedup below the noise tolerance means the fast engine *slowed that
     // scenario down*. It is not a failure (tiny kernels can lose more to
     // cache setup than batching saves), but it must never pass silently:
     // the row carries an explicit `regressed` flag and the run prints a
@@ -397,7 +410,7 @@ fn main() -> ExitCode {
     // regressions.
     for row in rows.iter().filter(|r| r.speedup < REGRESSED_TOLERANCE) {
         println!(
-            "throughput: WARNING `{}` fast path is a net slowdown ({:.2}x < {REGRESSED_TOLERANCE:.2}x)",
+            "throughput: WARNING `{}` fast engine is a net slowdown ({:.2}x < {REGRESSED_TOLERANCE:.2}x)",
             row.scenario, row.speedup
         );
     }
@@ -410,7 +423,7 @@ fn main() -> ExitCode {
     println!("wrote {}", opts.out);
 
     if !rows.iter().all(|r| r.fingerprint_match) {
-        eprintln!("throughput: fast path diverged from strict stepping");
+        eprintln!("throughput: fast engine diverged from the reference engine");
         return ExitCode::FAILURE;
     }
     match baseline {

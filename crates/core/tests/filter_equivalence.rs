@@ -1,12 +1,12 @@
 //! Property test: for random windows of retired instructions, the strict
-//! commit path (`scan` on every retirement) and the fast-forward commit path
+//! commit path (`scan` on every retirement) and the fast-engine commit path
 //! (`scan_classified` for control flow + one bulk `note_straightline` for
 //! the skipped straight-line run) must account the exact same counters and
 //! emit byte-identical commit logs.
 //!
 //! This is the filter-level core of the differential-fuzzing oracle: if
-//! these two paths ever drift, every fast-forwarded SoC run silently stops
-//! being comparable to the strict reference.
+//! these two paths ever drift, every fast-engine SoC run silently stops
+//! being comparable to the reference engine.
 
 use riscv_isa::{classify, decode, encode, BranchCond, Inst, Reg, Retired, Xlen};
 use titancfi::{CfiFilter, CommitLog};
@@ -99,7 +99,7 @@ fn strict_and_fast_forward_paths_account_identically() {
         let mut strict = CfiFilter::new();
         let strict_logs: Vec<CommitLog> = window.iter().filter_map(|r| strict.scan(r)).collect();
 
-        // Fast-forward path: the quantum stepper batches straight-line runs
+        // Fast-engine path: superblock batches cover straight-line runs
         // and only presents control flow to the filter, then accounts the
         // skipped retirements in bulk.
         let mut fast = CfiFilter::new();

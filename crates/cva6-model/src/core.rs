@@ -12,8 +12,8 @@
 use crate::timing::{TimingConfig, TimingModel};
 use riscv_asm::Program;
 use riscv_isa::{
-    classify, decode, predecode, BlockCache, BlockCacheStats, Bus, CfClass, DecodeCache,
-    DecodeCacheStats, FlatMemory, Hart, Retired, Trap, Xlen,
+    classify, decode, BlockCache, BlockCacheStats, Bus, CfClass, DecodeCache, DecodeCacheStats,
+    FlatMemory, Hart, Retired, Trap, Xlen,
 };
 
 /// One instruction leaving the commit stage.
@@ -133,7 +133,7 @@ impl Cva6Core<FlatMemory> {
             commit_slack: 0,
             last_commit_cycle: 0,
             decode_cache: DecodeCache::default(),
-            predecode: predecode::fast_path_default(),
+            predecode: true,
             block_cache: BlockCache::default(),
         }
     }
@@ -154,7 +154,7 @@ impl<B: Bus> Cva6Core<B> {
             commit_slack: 0,
             last_commit_cycle: 0,
             decode_cache: DecodeCache::default(),
-            predecode: predecode::fast_path_default(),
+            predecode: true,
             block_cache: BlockCache::default(),
         }
     }
@@ -650,9 +650,7 @@ mod tests {
             f:  ret
             ";
         let mut strict = core_for(src);
-        strict.set_predecode(true);
         let mut block = core_for(src);
-        block.set_predecode(true);
 
         let mut strict_trace = Vec::new();
         let strict_halt = loop {
@@ -696,7 +694,6 @@ mod tests {
     #[test]
     fn block_dispatch_respects_until_bound() {
         let mut core = core_for("_start: j _start\n");
-        core.set_predecode(true);
         let halt = core.run_silent(50);
         assert_eq!(halt, Halt::Budget);
         assert!(core.cycle() >= 50 && core.cycle() < 70, "{}", core.cycle());
@@ -717,7 +714,6 @@ mod tests {
                 j _start
             ",
         );
-        core.set_predecode(true);
         let halt = core.run_silent(10_000);
         assert_eq!(halt, Halt::Breakpoint, "patched ebreak must execute");
     }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use titancfi::wire::Frame;
 use titancfi::CommitLog;
 use titancfi_faults::FaultConfig;
-use titancfi_soc::{SocConfig, SystemOnChip};
+use titancfi_soc::{Engine, SocConfig, SystemOnChip};
 
 /// What a device looks like after one poll.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +97,7 @@ pub struct SocDeviceConfig {
     pub resilience: Option<titancfi::ResilienceConfig>,
     /// Collect per-log latency spans ([`SystemOnChip::attach_latency`]) so
     /// the fleet health monitor can aggregate end-to-end percentiles.
-    /// Costs strict stepping; off by default.
+    /// Rides the fast engine like an unobserved device; off by default.
     pub latency: bool,
 }
 
@@ -154,16 +154,12 @@ impl SocDevice {
         let mut soc_config = SocConfig {
             mem_size: config.mem_size,
             faults: config.faults,
-            // Fleet devices always ride the PR 8 fast path: predecoded
-            // instruction caches plus block-compiled stepping, pinned on
-            // explicitly rather than inherited from the process-wide
-            // default (a test flipping the global toggle must not quietly
-            // put a whole fleet back on strict stepping). When a latency
-            // collector or fault injector is attached, `run_slice` itself
-            // forces strict scheduling — the flags are preconditions, not
-            // overrides, so observed devices stay cycle-exact per-commit.
-            fast_path: true,
-            block_compile: true,
+            // Fleet devices run the fast engine, pinned here rather than
+            // inherited from `SocConfig::default()`. A latency collector or
+            // fault injector rides it too; only a full recorder or a
+            // per-commit violation policy would make `run_slice` step per
+            // commit.
+            engine: Engine::Fast,
             // Fleet workloads are a few hundred instructions, not kernels;
             // the default caches (8192 decode + 4096 block slots, per core)
             // would dominate per-device memory at 1024-device scale and

@@ -1,9 +1,9 @@
 //! Differential fuzzing for the TitanCFI co-simulation.
 //!
-//! The simulator has four execution strategies that must be observationally
-//! identical (strict per-cycle stepping, predecoded instruction caches,
-//! quantum-batched fast-forwarding, and the dual-core scheduler) plus a
-//! resilience layer that must be provably inert on a fault-free transport.
+//! The simulator has two stepping engines that must be observationally
+//! identical (the reference engine and the fast engine, on the single- and
+//! the dual-core SoC) plus a resilience layer that must be provably inert
+//! on a fault-free transport.
 //! Until now every equivalence claim was pinned by hand-picked kernels;
 //! this crate replaces that with *generated* coverage:
 //!
@@ -13,7 +13,7 @@
 //!   compressed and uncompressed encodings) that always terminates, emitted
 //!   as `riscv-asm` source.
 //! * [`oracle`] — runs one program under the full configuration matrix
-//!   (strict vs predecode vs fast-forward × IRQ vs polling firmware ×
+//!   (reference vs fast engine × IRQ vs polling firmware ×
 //!   resilience armed vs [`titancfi::ResilienceConfig::off`], plus the
 //!   dual-core SoC) and demands byte-identical commit-log streams,
 //!   shadow-stack verdicts, and report fingerprints. Corruption variants
@@ -38,7 +38,7 @@ pub mod shrink;
 
 pub use gen::{Corruption, CorruptionVariant, FuzzProgram, GenOptions, GENERATOR_VERSION};
 pub use oracle::{
-    check, check_source, expected_detection, replay_policies, CaseOutcome, Divergence, ExecMode,
+    check, check_source, expected_detection, replay_policies, CaseOutcome, Divergence,
     ExpectedDetection, MatrixConfig, OracleOk, PolicyMatrix,
 };
 pub use repro::{write_repro, ReproContext};

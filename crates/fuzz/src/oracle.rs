@@ -2,11 +2,10 @@
 //!
 //! One generated program is run under the full configuration matrix:
 //!
-//! * **Execution strategy** — strict per-cycle stepping, predecoded
-//!   instruction caches without batching, the fast-forward path
-//!   (predecode with quantum batching), and block-compiled dispatch
-//!   (superblock translation cache + event-driven background scheduling).
-//!   All four must agree on *everything*, including cycle counts.
+//! * **Engine** — the reference engine (raw decode, per-commit stepping,
+//!   per-cycle background) and the fast engine (predecode, superblock
+//!   translation cache, event-driven background scheduling). Both must
+//!   agree on *everything*, including cycle counts.
 //! * **Firmware** — IRQ vs polling RoT firmware. Check latencies differ,
 //!   so only the timing-independent ("portable") fingerprint must agree:
 //!   halt reason, retired instruction count, filter counters, the full
@@ -15,8 +14,8 @@
 //!   fault-free transport the layer must be provably inert: the *entire*
 //!   report, cycles included, must be identical.
 //! * **Topology** — the dual-core SoC running the same program on both
-//!   cores, strict vs fast path. Both cores' tagged streams must equal the
-//!   single-core strict stream log for log.
+//!   cores, reference vs fast engine. Both cores' tagged streams must equal
+//!   the single-core reference stream log for log.
 //!
 //! Corruption variants invert the final check along the **policy
 //! dimension**: the reference stream is replayed through the golden-model
@@ -34,39 +33,15 @@ use titancfi::{CommitLog, FilterStats, ResilienceConfig};
 use titancfi_policies::{
     CfiPolicy, CombinedPolicy, KcfiPolicy, LandingPadPolicy, ShadowStackPolicy,
 };
-use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip, CORES};
-
-/// Single-core execution strategy under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Reference semantics: per-cycle stepping, raw decode.
-    Strict,
-    /// Predecoded instruction caches, no quantum batching.
-    Predecode,
-    /// Predecode + quantum-batched stepping (`SocConfig::fast_path`).
-    FastForward,
-    /// Fast forward plus the superblock translation cache and event-driven
-    /// background scheduling (`SocConfig::block_compile`).
-    BlockCompiled,
-}
-
-impl ExecMode {
-    /// All four rungs, reference first.
-    pub const ALL: [ExecMode; 4] = [
-        ExecMode::Strict,
-        ExecMode::Predecode,
-        ExecMode::FastForward,
-        ExecMode::BlockCompiled,
-    ];
-}
+use titancfi_soc::{DualHostSoc, Engine, SocConfig, SystemOnChip, CORES};
 
 /// The oracle's run matrix parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixConfig {
     /// Host cycle budget per run (generated programs finish far below it).
     pub budget: u64,
-    /// Also run the dual-core SoC (strict vs fast + single-core cross
-    /// check).
+    /// Also run the dual-core SoC (reference vs fast engine + single-core
+    /// cross check).
     pub multicore: bool,
 }
 
@@ -133,7 +108,7 @@ impl CaseOutcome {
     }
 
     /// Full fingerprint: portable plus cycle-exact timing. Agrees across
-    /// execution strategies and across the resilience on/off pair.
+    /// engines and across the resilience on/off pair.
     #[must_use]
     pub fn full_fingerprint(&self) -> String {
         format!("{} cycles={}", self.portable_fingerprint(), self.cycles)
@@ -247,7 +222,7 @@ pub fn replay_policies(prog: &Program, stream: &[CommitLog]) -> PolicyMatrix {
 /// Successful oracle verdict plus observations the caller may assert on.
 #[derive(Debug, Clone)]
 pub struct OracleOk {
-    /// Outcome of the reference case (strict, polling, resilience armed).
+    /// Outcome of the reference case (reference engine, polling, resilience armed).
     pub reference: CaseOutcome,
     /// Total violations observed in the reference case.
     pub violations: usize,
@@ -268,32 +243,27 @@ pub fn assemble_fuzz(source: &str, compressed: bool) -> Result<Program, AsmError
     asm.assemble(source)
 }
 
-fn soc_config(fw: FirmwareKind, resilience: ResilienceConfig, mode: ExecMode) -> SocConfig {
-    SocConfig {
-        firmware: fw,
-        mem_size: FUZZ_MEM,
-        resilience,
-        fast_path: matches!(mode, ExecMode::FastForward | ExecMode::BlockCompiled),
-        block_compile: matches!(mode, ExecMode::BlockCompiled),
-        ..SocConfig::default()
-    }
-}
-
 fn run_single(
     prog: &Program,
     fw: FirmwareKind,
     resilience: ResilienceConfig,
-    mode: ExecMode,
+    engine: Engine,
     budget: u64,
 ) -> CaseOutcome {
-    let mut soc = SystemOnChip::new(prog, soc_config(fw, resilience, mode));
-    soc.set_predecode(!matches!(mode, ExecMode::Strict));
+    let config = SocConfig {
+        firmware: fw,
+        mem_size: FUZZ_MEM,
+        resilience,
+        engine,
+        ..SocConfig::default()
+    };
+    let mut soc = SystemOnChip::new(prog, config);
     soc.enable_log_tap();
     let report = soc.run(budget);
     let stream = soc.take_log_tap().expect("tap was enabled");
     CaseOutcome {
         label: format!(
-            "{mode:?}/{fw:?}/{}",
+            "{engine:?}/{fw:?}/{}",
             if resilience == ResilienceConfig::off() {
                 "res-off"
             } else {
@@ -316,7 +286,6 @@ fn run_single(
 /// Observations from one dual-core run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct DualOutcome {
-    label: String,
     halts: [String; CORES],
     cycles: [u64; CORES],
     cf_streamed: [u64; CORES],
@@ -325,27 +294,9 @@ struct DualOutcome {
     per_core_violations: [Vec<CommitLog>; CORES],
 }
 
-/// Dual-core stepping rung: strict, quantum-batched, or block-compiled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DualMode {
-    Strict,
-    Fast,
-    Block,
-}
-
-fn run_dual(prog: &Program, mode: DualMode, budget: u64) -> DualOutcome {
+fn run_dual(prog: &Program, engine: Engine, budget: u64) -> DualOutcome {
     let mut soc = DualHostSoc::new([prog, prog], FUZZ_MEM, 8);
-    match mode {
-        DualMode::Strict => soc.set_predecode_only(false),
-        DualMode::Fast => {
-            soc.set_fast_path(true);
-            soc.set_block_compile(false);
-        }
-        DualMode::Block => {
-            soc.set_fast_path(true);
-            soc.set_block_compile(true);
-        }
-    }
+    soc.set_engine(engine);
     soc.enable_log_tap();
     let report = soc.run(budget);
     let tagged = soc.take_log_tap().expect("tap was enabled");
@@ -358,14 +309,6 @@ fn run_dual(prog: &Program, mode: DualMode, budget: u64) -> DualOutcome {
         violations[v.core as usize].push(v.log);
     }
     DualOutcome {
-        label: format!(
-            "dual/{}",
-            match mode {
-                DualMode::Strict => "strict",
-                DualMode::Fast => "fast",
-                DualMode::Block => "block",
-            }
-        ),
         halts: [0, 1].map(|i| format!("{:?}", report.cores[i].halt)),
         cycles: [0, 1].map(|i| report.cores[i].cycles),
         cf_streamed: [0, 1].map(|i| report.cores[i].cf_streamed),
@@ -422,8 +365,8 @@ pub fn check_source(
     let mut cases: Vec<CaseOutcome> = Vec::new();
     for fw in firmwares {
         for res in resiliences {
-            for mode in ExecMode::ALL {
-                cases.push(run_single(&prog, fw, res, mode, matrix.budget));
+            for engine in Engine::ALL {
+                cases.push(run_single(&prog, fw, res, engine, matrix.budget));
             }
         }
     }
@@ -435,9 +378,9 @@ pub fn check_source(
         )));
     }
 
-    // Within one (firmware, resilience) cell the three execution strategies
-    // must agree on everything, cycles included.
-    for cell in cases.chunks(ExecMode::ALL.len()) {
+    // Within one (firmware, resilience) cell the engines must agree on
+    // everything, cycles included.
+    for cell in cases.chunks(Engine::ALL.len()) {
         let base = &cell[0];
         for other in &cell[1..] {
             compare_streams(base, other)?;
@@ -453,8 +396,9 @@ pub fn check_source(
         }
     }
     // Resilience armed vs off must be fully inert per firmware (compare the
-    // strict rung of each pair; the rungs were just proven identical).
-    let per_res = ExecMode::ALL.len();
+    // reference engine of each pair; the engines were just proven
+    // identical).
+    let per_res = Engine::ALL.len();
     for fw_block in cases.chunks(2 * per_res) {
         let armed = &fw_block[0];
         let off = &fw_block[per_res];
@@ -500,45 +444,40 @@ pub fn check_source(
     }
 
     if matrix.multicore {
-        let strict = run_dual(&prog, DualMode::Strict, matrix.budget);
-        for mode in [DualMode::Fast, DualMode::Block] {
-            let other = run_dual(&prog, mode, matrix.budget);
-            let mut relabel = other.clone();
-            relabel.label = strict.label.clone();
-            if strict != relabel {
-                return Err(diverge(format!(
-                    "dual-core strict vs {} diverge:\n  {strict:?}\n  {other:?}",
-                    other.label
-                )));
-            }
+        let dual_ref = run_dual(&prog, Engine::Reference, matrix.budget);
+        let fast = run_dual(&prog, Engine::Fast, matrix.budget);
+        if dual_ref != fast {
+            return Err(diverge(format!(
+                "dual-core reference vs fast engine diverge:\n  {dual_ref:?}\n  {fast:?}"
+            )));
         }
         for core in 0..CORES {
-            if strict.per_core_streams[core] != reference.stream {
-                let idx = strict.per_core_streams[core]
+            if dual_ref.per_core_streams[core] != reference.stream {
+                let idx = dual_ref.per_core_streams[core]
                     .iter()
                     .zip(&reference.stream)
                     .position(|(x, y)| x != y)
                     .unwrap_or_else(|| {
-                        strict.per_core_streams[core]
+                        dual_ref.per_core_streams[core]
                             .len()
                             .min(reference.stream.len())
                     });
                 return Err(diverge(format!(
-                    "dual-core core {core} stream ({} logs) differs from single-core strict ({} logs) at index {idx}",
-                    strict.per_core_streams[core].len(),
+                    "dual-core core {core} stream ({} logs) differs from single-core reference ({} logs) at index {idx}",
+                    dual_ref.per_core_streams[core].len(),
                     reference.stream.len(),
                 )));
             }
-            if strict.per_core_violations[core] != reference.violation_logs {
+            if dual_ref.per_core_violations[core] != reference.violation_logs {
                 return Err(diverge(format!(
                     "dual-core core {core} violations {:?} differ from single-core {:?}",
-                    strict.per_core_violations[core], reference.violation_logs
+                    dual_ref.per_core_violations[core], reference.violation_logs
                 )));
             }
-            if strict.cf_streamed[core] != reference.filter.emitted {
+            if dual_ref.cf_streamed[core] != reference.filter.emitted {
                 return Err(diverge(format!(
                     "dual-core core {core} cf_streamed {} != single-core emitted {}",
-                    strict.cf_streamed[core], reference.filter.emitted
+                    dual_ref.cf_streamed[core], reference.filter.emitted
                 )));
             }
         }

@@ -109,11 +109,10 @@ impl Json {
     ///
     /// Returns a description of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(value)
@@ -163,14 +162,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -180,7 +180,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -202,10 +202,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -222,7 +222,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -262,10 +263,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = &bytes[*pos..];
-                let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                let c = s.chars().next().unwrap();
+                // Consume one UTF-8 scalar. `pos` only ever advances past
+                // ASCII bytes or whole scalars, so it sits on a char
+                // boundary.
+                let c = text[*pos..].chars().next().expect("in-bounds char");
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -337,5 +338,9 @@ mod tests {
             v.get("k").and_then(|a| a.as_arr()).map(<[Json]>::len),
             Some(3)
         );
+        // 3- and 4-byte scalars next to escapes, in both key and value.
+        let v = Json::parse(r#"{"€\n𝄞":"a\u00e9€\n𝄞z"}"#).expect("parses");
+        assert_eq!(v.get("€\n𝄞").and_then(Json::as_str), Some("aé€\n𝄞z"));
+        assert_eq!(Json::parse(&v.encode()).expect("round-trips"), v);
     }
 }

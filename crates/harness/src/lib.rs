@@ -25,6 +25,8 @@
 //! bottom of the workspace DAG so every other crate (including
 //! `riscv-isa`) can dev-depend on it for seeded test-input generation.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod job;
 pub mod json;

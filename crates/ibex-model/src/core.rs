@@ -12,8 +12,8 @@
 
 use crate::bus::{AccessInfo, RegionKind, SystemBus};
 use riscv_isa::{
-    classify, decode, predecode, BlockCache, BlockCacheStats, CfClass, DecodeCache,
-    DecodeCacheStats, Hart, Inst, MulOp, Retired, Trap, Xlen,
+    classify, decode, BlockCache, BlockCacheStats, CfClass, DecodeCache, DecodeCacheStats, Hart,
+    Inst, MulOp, Retired, Trap, Xlen,
 };
 use titancfi_obs::{Probe, RetireSample};
 
@@ -119,7 +119,7 @@ impl IbexCore {
             state: IbexState::Running,
             irqs_taken: 0,
             decode_cache: DecodeCache::default(),
-            predecode: predecode::fast_path_default(),
+            predecode: true,
             block_cache: BlockCache::default(),
         }
     }
@@ -598,9 +598,7 @@ mod tests {
             f:  ret
             ";
         let mut strict = system(src);
-        strict.set_predecode(true);
         let mut block = system(src);
-        block.set_predecode(true);
 
         let mut strict_commits = Vec::new();
         let strict_end = loop {
@@ -642,7 +640,6 @@ mod tests {
                 ebreak
             ",
         );
-        core.set_predecode(true);
         let bs = core.step_block(u64::MAX); // li (no access yet)... block runs until SoC lw
         let first = bs.result.expect("commit");
         assert_eq!(
@@ -674,7 +671,6 @@ mod tests {
                 ebreak
             ",
         );
-        core.set_predecode(true);
         // Run a few blocks of the spin loop, then post the interrupt.
         for _ in 0..4 {
             let _ = core.step_block(u64::MAX);

@@ -21,33 +21,11 @@
 //! that mutate memory *behind the hart's back* — loaders, test harnesses
 //! poking RAM directly — must call [`DecodeCache::invalidate_all`] (the
 //! core models do this in their `set_predecode`/`load` paths).
-//!
-//! The global [`fast_path_default`] switch seeds the predecode flag of newly
-//! constructed cores; table binaries flip it to prove byte-identical output
-//! with the fast path off.
 
 use crate::cfi::{classify, CfClass};
 use crate::decode::Decoded;
 use crate::inst::Inst;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for the simulator fast path (predecode caches and
-/// quantum batching). Newly constructed cores and `SocConfig`s sample it;
-/// flipping it never affects already-built cores.
-static FAST_PATH_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Whether newly constructed cores enable the predecode fast path.
-#[must_use]
-pub fn fast_path_default() -> bool {
-    FAST_PATH_DEFAULT.load(Ordering::SeqCst)
-}
-
-/// Sets the process-wide fast-path default sampled at core construction.
-/// Used by the fingerprint pins and the throughput benchmark to run the
-/// exact same experiment with and without the fast path.
-pub fn set_fast_path_default(on: bool) {
-    FAST_PATH_DEFAULT.store(on, Ordering::SeqCst);
-}
 
 /// Mutation-testing switch: when set, [`DecodeCache::invalidate_store`]
 /// silently skips eviction — a deliberately plantable cache-coherence bug.
@@ -473,13 +451,4 @@ mod tests {
     // process-global, so its behavioural test lives in the fuzz crate's
     // single-process `tests/mutation.rs` rather than here, where it would
     // race the other invalidation tests running in parallel threads.
-
-    #[test]
-    fn global_default_round_trips() {
-        assert!(fast_path_default());
-        set_fast_path_default(false);
-        assert!(!fast_path_default());
-        set_fast_path_default(true);
-        assert!(fast_path_default());
-    }
 }

@@ -37,8 +37,9 @@ pub struct HostBus {
     /// Accesses blocked by PMP (tamper attempts).
     pub pmp_denials: u64,
     /// Sticky flag: the host touched a device window (mailbox/SCMI) or was
-    /// denied by PMP since the last [`HostBus::take_io_access`]. The quantum
-    /// batcher breaks on it so device-visible timing matches strict stepping.
+    /// denied by PMP since the last [`HostBus::take_io_access`]. The fast
+    /// engine ends a batch on it so device-visible timing matches the
+    /// reference engine.
     io_access: bool,
 }
 

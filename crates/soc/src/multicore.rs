@@ -9,6 +9,7 @@
 //! banked multi-core firmware, keeping one shadow stack per core.
 
 use crate::hostbus::HostBus;
+use crate::sim::Engine;
 use cva6_model::{Cva6Core, Halt, TimingConfig};
 use opentitan_model::rot::LatencyProfile;
 use opentitan_model::{CfiMailbox, OpenTitan};
@@ -195,7 +196,7 @@ pub struct DualHostSoc {
     writer: TaggedWriter,
     rot: OpenTitan,
     bg_cycle: u64,
-    /// Block-mode carry-over: the RoT made an SoC access on the last tick
+    /// Fast-engine carry-over: the RoT made an SoC access on the last tick
     /// the event-driven advance processed, and the writer has not yet run
     /// to observe a possible completion write. Forces one writer tick at
     /// the head of the next [`DualHostSoc::advance_background_fast`].
@@ -210,14 +211,9 @@ pub struct DualHostSoc {
     bg_doorbell_stale: bool,
     violations: Vec<TaggedViolation>,
     firmware_trap: Option<riscv_isa::Trap>,
-    /// Quantum-batch straight-line stretches when the transport is idle.
-    /// Cycle-exact either way; pinned by `tests/decode_cache.rs`.
-    fast_path: bool,
-    /// Superblock dispatch per host core plus event-driven background
-    /// scheduling; only consulted when `fast_path` is on. Cycle-exact like
-    /// the fast path — pinned by `tests/decode_cache.rs` and the fuzz
-    /// oracle's block-compiled stepping mode.
-    block_compile: bool,
+    /// Stepping engine; identical reports either way (pinned by
+    /// `tests/decode_cache.rs` and the fuzz oracle).
+    engine: Engine,
     /// When enabled, every tagged log pushed into the shared queue is also
     /// recorded here — purely observational, for differential stream
     /// comparison.
@@ -274,37 +270,20 @@ impl DualHostSoc {
             bg_doorbell_stale: true,
             violations: Vec::new(),
             firmware_trap: None,
-            fast_path: riscv_isa::predecode::fast_path_default(),
-            block_compile: riscv_isa::predecode::fast_path_default(),
+            engine: Engine::Fast,
             log_tap: None,
         }
     }
 
-    /// Enables or disables both the predecode caches and the quantum-batched
-    /// scheduler fast path. Both settings produce identical reports.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
+    /// Selects the stepping engine (the default is [`Engine::Fast`]). Both
+    /// produce identical reports.
+    pub fn set_engine(&mut self, engine: Engine) {
+        self.engine = engine;
+        let predecode = engine == Engine::Fast;
         for core in &mut self.cores {
-            core.set_predecode(on);
+            core.set_predecode(predecode);
         }
-    }
-
-    /// Enables or disables superblock dispatch and event-driven background
-    /// scheduling on top of the fast path (ignored while the fast path is
-    /// off). Identical reports either way — this is the third rung of the
-    /// differential matrix.
-    pub fn set_block_compile(&mut self, on: bool) {
-        self.block_compile = on;
-    }
-
-    /// Sets the predecode caches on the host cores *without* enabling the
-    /// quantum-batched scheduler — the middle rung of the differential
-    /// matrix.
-    pub fn set_predecode_only(&mut self, on: bool) {
-        self.fast_path = false;
-        for core in &mut self.cores {
-            core.set_predecode(on);
-        }
+        self.rot.core.set_predecode(predecode);
     }
 
     /// Starts capturing every tagged log pushed into the shared CFI queue.
@@ -365,8 +344,8 @@ impl DualHostSoc {
         }
     }
 
-    /// Event-driven form of [`DualHostSoc::advance_background`], used in
-    /// block mode: per-tick semantics identical to
+    /// Event-driven form of [`DualHostSoc::advance_background`], used by
+    /// the fast engine: per-tick semantics identical to
     /// [`DualHostSoc::tick_once`] (writer, then the IRQ fabric, then at
     /// most one RoT instruction), with provably inert ticks jumped over.
     /// With `until_queue_space` the advance instead runs until the shared
@@ -505,21 +484,12 @@ impl DualHostSoc {
         }
     }
 
-    /// One step of core `i` in the configured dispatch mode: plain
-    /// stepping, or whole superblocks with the skipped straight-line
+    /// One superblock on core `i`, with the skipped straight-line
     /// retirements accounted to the core's filter.
-    fn host_step(
-        &mut self,
-        i: usize,
-        block: bool,
-        max_cycles: u64,
-    ) -> Result<cva6_model::Commit, Halt> {
-        if !block {
-            return self.cores[i].step();
-        }
+    fn host_block(&mut self, i: usize, max_cycles: u64) -> Result<cva6_model::Commit, Halt> {
         // Superblocks end where the interleaving scheduler would switch
         // cores: core 0 once it passes core 1 (ties keep core 0), core 1
-        // once it catches core 0 — the same boundary the per-op batch's
+        // once it catches core 0 — the same boundary the batch's
         // `next_core` check enforces.
         let sibling = 1 - i;
         let until = if self.halted[sibling].is_none() {
@@ -548,10 +518,39 @@ impl DualHostSoc {
         bs.result
     }
 
+    /// One fast-engine batch on core `i`: superblocks while the scheduler
+    /// would keep picking core `i` and its commits stay straight-line, then
+    /// a single event-driven background catch-up to the last commit.
+    /// Superblocks end at every shared-state interaction (CF commits,
+    /// device-window accesses, the sibling's scheduling boundary), so
+    /// deferring the catch-up to the batch boundary composes to the same
+    /// state as advancing after every commit.
+    fn run_batch(&mut self, i: usize, max_cycles: u64) -> Result<cva6_model::Commit, Halt> {
+        let mut commit = self.host_block(i, max_cycles)?;
+        while !(commit.cf_class.is_cfi_relevant()
+            || self.cores[i].bus_mut().take_io_access()
+            || self.cores[i].cycle() >= max_cycles
+            || self.next_core() != Some(i))
+        {
+            self.filters[i].note_straightline(1);
+            match self.host_block(i, max_cycles) {
+                Ok(c) => commit = c,
+                Err(halt) => {
+                    // The halting instruction retired nothing; the last
+                    // commit was straight-line and already accounted.
+                    self.advance_background_fast(commit.cycle, false);
+                    return Err(halt);
+                }
+            }
+        }
+        self.advance_background_fast(commit.cycle, false);
+        Ok(commit)
+    }
+
     /// Runs both programs to completion (or `max_cycles` each).
     #[must_use]
     pub fn run(&mut self, max_cycles: u64) -> DualReport {
-        let block = self.fast_path && self.block_compile;
+        let fast = self.engine == Engine::Fast;
         loop {
             // A dead shared checker fails both live cores closed: nothing
             // can check their control flow any more.
@@ -569,60 +568,21 @@ impl DualHostSoc {
                 self.halted[i] = Some(Halt::Budget);
                 continue;
             }
-            match self.host_step(i, block, max_cycles) {
+            let stepped = if fast {
+                self.run_batch(i, max_cycles)
+            } else {
+                let stepped = self.cores[i].step();
+                if let Ok(c) = &stepped {
+                    self.advance_background(c.cycle);
+                }
+                stepped
+            };
+            match stepped {
                 Ok(commit) => {
-                    let mut commit = commit;
-                    let mut batch_halt = None;
-                    // Quantum batching: with the transport idle nothing can
-                    // observe the skipped boundaries, so keep stepping core
-                    // `i` while the scheduler would pick it anyway and its
-                    // commits stay straight-line. Pushes happen only on CF
-                    // commits, so the idle check at entry holds throughout.
-                    // Block mode batches through *busy* transport phases
-                    // too: superblocks end at every shared-state
-                    // interaction (CF commits, device-window accesses, the
-                    // sibling's scheduling boundary), so deferring the
-                    // background catch-up to the batch boundary composes to
-                    // the same state.
-                    if block
-                        || (self.fast_path
-                            && self.queue.is_empty()
-                            && !self.writer.busy()
-                            && !self.rot.mailbox.doorbell_pending())
-                    {
-                        loop {
-                            if commit.cf_class.is_cfi_relevant()
-                                || self.cores[i].bus_mut().take_io_access()
-                                || self.cores[i].cycle() >= max_cycles
-                                || self.next_core() != Some(i)
-                            {
-                                break;
-                            }
-                            self.filters[i].note_straightline(1);
-                            match self.host_step(i, block, max_cycles) {
-                                Ok(c) => commit = c,
-                                Err(h) => {
-                                    batch_halt = Some(h);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if block {
-                        self.advance_background_fast(commit.cycle, false);
-                    } else {
-                        self.advance_background(commit.cycle);
-                    }
-                    if let Some(h) = batch_halt {
-                        // The halting instruction retired nothing; the last
-                        // commit was straight-line and already accounted.
-                        self.halted[i] = Some(h);
-                        continue;
-                    }
                     if let Some(log) =
                         self.filters[i].scan_classified(&commit.retired, commit.cf_class)
                     {
-                        if block {
+                        if fast {
                             let before = self.bg_cycle;
                             self.advance_background_fast(0, true);
                             self.cores[i].stall(self.bg_cycle - before);

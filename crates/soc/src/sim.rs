@@ -50,22 +50,10 @@ pub struct SocConfig {
     /// Fault-injection schedule for the CFI transport; `None` (or an
     /// all-zero-rate config) leaves the transport pristine.
     pub faults: Option<FaultConfig>,
-    /// Simulator fast path: predecoded instruction caches on both cores and
-    /// quantum-batched stepping between CFI events. Cycle-exact either way —
-    /// every report field is identical with the flag on or off (pinned by
-    /// `tests/decode_cache.rs`); off exists for A/B verification and as the
-    /// reference semantics. Defaults to the process-wide
-    /// [`riscv_isa::predecode::fast_path_default`].
-    pub fast_path: bool,
-    /// Superblock dispatch on the host core plus event-driven background
-    /// scheduling. Only consulted when the fast path is active (same
-    /// preconditions), and additionally disabled under
-    /// `halt_on_violation` / `trap_host_on_violation`, which the reference
-    /// semantics check at every commit. Cycle-exact like `fast_path` —
-    /// pinned by `tests/decode_cache.rs` and the fuzz oracle's
-    /// block-compiled stepping mode. Defaults to the process-wide
-    /// [`riscv_isa::predecode::fast_path_default`].
-    pub block_compile: bool,
+    /// Stepping engine. Both engines produce identical reports, latency
+    /// spans and fault ledgers; [`Engine::Reference`] exists for A/B
+    /// verification and as the reference semantics.
+    pub engine: Engine,
     /// Decode-cache capacity (slots, rounded up to a power of two) applied
     /// to both cores. The default covers kernel-sized firmware; fleet
     /// embedders simulating hundreds of SoCs right-size this down to the
@@ -75,6 +63,27 @@ pub struct SocConfig {
     /// Block-cache capacity (slots) applied to both cores; see
     /// [`SocConfig::decode_cache_slots`].
     pub block_cache_slots: usize,
+}
+
+/// How a SoC steps its host cores and the background machinery (Log
+/// Writer + RoT). Cycle-exact either way: every report field, latency
+/// stamp and fault-ledger entry is identical under both engines (pinned
+/// by `tests/decode_cache.rs`, `tests/latency_spans.rs`,
+/// `tests/fault_resilience.rs` and the fuzz oracle).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// Raw decode on every core, one host commit at a time, and the
+    /// background ticked every cycle it is not provably idle.
+    Reference,
+    /// Predecoded instruction caches, superblock dispatch on the host, and
+    /// event-driven background scheduling that jumps over inert ticks.
+    #[default]
+    Fast,
+}
+
+impl Engine {
+    /// Both engines, reference first.
+    pub const ALL: [Engine; 2] = [Engine::Reference, Engine::Fast];
 }
 
 /// The `mcause` value delivered for a CFI violation (a custom exception
@@ -93,8 +102,7 @@ impl Default for SocConfig {
             trap_host_on_violation: false,
             resilience: ResilienceConfig::default(),
             faults: None,
-            fast_path: riscv_isa::predecode::fast_path_default(),
-            block_compile: riscv_isa::predecode::fast_path_default(),
+            engine: Engine::Fast,
             decode_cache_slots: riscv_isa::DecodeCache::DEFAULT_SLOTS,
             block_cache_slots: riscv_isa::BlockCache::DEFAULT_SLOTS,
         }
@@ -171,7 +179,7 @@ pub struct SystemOnChip {
     rot: OpenTitan,
     config: SocConfig,
     bg_cycle: u64,
-    /// Block-mode carry-over: the RoT made an SoC access on the last tick
+    /// Fast-engine carry-over: the RoT made an SoC access on the last tick
     /// the event-driven advance processed, and the writer has not yet run
     /// to observe a possible completion write. Forces one writer tick at
     /// the head of the next [`SystemOnChip::advance_background_fast`].
@@ -188,10 +196,7 @@ pub struct SystemOnChip {
     violations: Vec<Violation>,
     trapped_violations: usize,
     scmi_service: ScmiWireService,
-    recorder: Option<Recorder>,
-    /// Latency-only probe ([`SystemOnChip::attach_latency`]); ignored while
-    /// a full recorder is attached (the recorder collects its own spans).
-    latency: Option<LatencyCollector>,
+    observers: Observers,
     /// `[cfi_begin, cfi_end)` of the booted firmware, for phase attribution.
     cfi_range: (u64, u64),
     /// Whether a firmware `cfi-check` span is currently open.
@@ -207,6 +212,29 @@ pub struct SystemOnChip {
     /// recorded here — purely observational (no timing effect), used by the
     /// differential fuzzer to compare commit-log streams byte for byte.
     log_tap: Option<Vec<titancfi::CommitLog>>,
+}
+
+/// The attached probes.
+#[derive(Debug, Default)]
+struct Observers {
+    /// Full recorder ([`SystemOnChip::attach_recorder`]).
+    recorder: Option<Recorder>,
+    /// Latency-only probe ([`SystemOnChip::attach_latency`]); ignored while
+    /// a full recorder is attached (the recorder collects its own spans).
+    latency: Option<LatencyCollector>,
+    none: NoProbe,
+}
+
+impl Observers {
+    /// The probe the simulation reports into: the recorder, else the
+    /// latency collector, else the no-op probe.
+    fn probe(&mut self) -> &mut dyn Probe {
+        match (&mut self.recorder, &mut self.latency) {
+            (Some(rec), _) => rec,
+            (None, Some(lat)) => lat,
+            (None, None) => &mut self.none,
+        }
+    }
 }
 
 /// Static counter name for one (phase, category) firmware cycle cell —
@@ -287,11 +315,10 @@ impl SystemOnChip {
                 }
             }
         }
-        // Predecode is a per-core property of this SoC instance; pin it to
-        // the config rather than the global default so A/B runs in one
-        // process stay independent.
-        core.set_predecode(config.fast_path);
-        rot.core.set_predecode(config.fast_path);
+        // Cores boot with predecode on; the reference engine decodes raw.
+        let predecode = config.engine == Engine::Fast;
+        core.set_predecode(predecode);
+        rot.core.set_predecode(predecode);
         let cfi_range = (
             fw.symbol("cfi_begin").expect("cfi_begin symbol"),
             fw.symbol("cfi_end").expect("cfi_end symbol"),
@@ -328,8 +355,7 @@ impl SystemOnChip {
             violations: Vec::new(),
             trapped_violations: 0,
             scmi_service,
-            recorder: None,
-            latency: None,
+            observers: Observers::default(),
             cfi_range,
             fw_checking: false,
             injector,
@@ -377,14 +403,6 @@ impl SystemOnChip {
         self.core.cycle()
     }
 
-    /// Sets the predecoded-decode caches on both cores *without* touching
-    /// the quantum-batching scheduler (`config.fast_path`) — the middle rung
-    /// of the strict / predecode / fast-forward differential matrix.
-    pub fn set_predecode(&mut self, on: bool) {
-        self.core.set_predecode(on);
-        self.rot.core.set_predecode(on);
-    }
-
     /// Attaches a full [`Recorder`] (metrics + timeline + firmware
     /// profiler); subsequent [`SystemOnChip::run`] cycles are instrumented.
     /// Without this call the simulation takes the uninstrumented path.
@@ -394,40 +412,39 @@ impl SystemOnChip {
         recorder
             .metrics
             .declare_histogram("queue.occupancy", Histogram::occupancy());
-        self.recorder = Some(recorder);
+        self.observers.recorder = Some(recorder);
     }
 
     /// Detaches and returns the recorder (for export / reporting).
     pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
+        self.observers.recorder.take()
     }
 
     /// Read access to the attached recorder, when one is present.
     #[must_use]
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
+        self.observers.recorder.as_ref()
     }
 
     /// Attaches the lightweight per-log latency collector — lifecycle
-    /// boundary stamps only, no timeline or metric registry. Like a full
-    /// recorder it forces strict (per-cycle) scheduling, which is
-    /// observationally identical to the batched fast path (pinned by
-    /// `tests/decode_cache.rs`), so every report field and all latency
-    /// stamps are byte-identical across stepping modes.
+    /// boundary stamps only, no timeline or metric registry. Every stamp
+    /// lands on a writer state transition the fast engine's event-driven
+    /// advance visits, so the collector rides either engine and the spans
+    /// are byte-identical across them (pinned by `tests/latency_spans.rs`).
     pub fn attach_latency(&mut self) {
-        self.latency = Some(LatencyCollector::new());
+        self.observers.latency = Some(LatencyCollector::new());
     }
 
     /// Detaches and returns the latency collector.
     pub fn take_latency(&mut self) -> Option<LatencyCollector> {
-        self.latency.take()
+        self.observers.latency.take()
     }
 
     /// The collected per-log latency spans, from whichever probe is
     /// attached: the standalone collector or a full recorder.
     #[must_use]
     pub fn latency_spans(&self) -> Option<&LatencySpans> {
-        match (&self.recorder, &self.latency) {
+        match (&self.observers.recorder, &self.observers.latency) {
             (Some(rec), _) => Some(&rec.latency),
             (None, Some(lat)) => Some(&lat.spans),
             (None, None) => None,
@@ -441,14 +458,15 @@ impl SystemOnChip {
         self.scmi_service.measurement()
     }
 
-    /// Advances the background machinery (Log Writer + RoT) to `until`.
+    /// Advances the background machinery (Log Writer + RoT) to `until`, one
+    /// [`SystemOnChip::tick_once`] per cycle that is not provably idle.
     fn advance_background(&mut self, until: u64) {
         while self.bg_cycle < until {
             // Fast-forward across true idleness.
             if self.queue.is_empty() && !self.writer.busy() && !self.rot.mailbox.doorbell_pending()
             {
                 self.scmi_service.poll();
-                if let Some(rec) = self.recorder.as_mut() {
+                if let Some(rec) = self.observers.recorder.as_mut() {
                     // The skipped cycles all see an empty queue; record them
                     // in bulk so the occupancy histogram stays per-cycle.
                     let skipped = until - self.bg_cycle;
@@ -463,53 +481,57 @@ impl SystemOnChip {
         }
     }
 
+    /// Tick-start firmware bookkeeping, shared by both engines: when the
+    /// doorbell level differs from the one the previous tick saw, opens
+    /// (rising edge) or closes (falling edge) the firmware `cfi-check` span.
+    /// A rising edge is the check-entry fault window — the firmware has not
+    /// touched policy state yet, so a glitch here restarts the check
+    /// idempotently. Returns an injected trap, which the caller applies
+    /// after this tick's RoT step.
+    fn check_entry(&mut self, doorbell: bool) -> Option<riscv_isa::Trap> {
+        if doorbell == self.fw_checking {
+            return None;
+        }
+        self.fw_checking = doorbell;
+        let probe = self.observers.probe();
+        if !doorbell {
+            probe.span_end(Track::Firmware, self.bg_cycle);
+            return None;
+        }
+        probe.span_begin(Track::Firmware, "cfi-check", self.bg_cycle);
+        if self.rot_health != RotHealth::Healthy {
+            return None;
+        }
+        let fault = self
+            .injector
+            .as_ref()
+            .map_or(CheckFault::None, FaultInjector::check_fault);
+        match fault {
+            CheckFault::None => None,
+            CheckFault::Glitch => {
+                probe.instant(Track::Firmware, "fault.glitch", self.bg_cycle);
+                if self.poll_pc != 0 {
+                    // Transient PC upset: the core restarts from the poll
+                    // loop and re-enters the pending check.
+                    self.rot.core.hart.pc = self.poll_pc;
+                }
+                None
+            }
+            CheckFault::Hang => {
+                probe.instant(Track::Firmware, "fault.hang", self.bg_cycle);
+                self.rot_health = RotHealth::Hung;
+                None
+            }
+            CheckFault::Trap => Some(riscv_isa::Trap::IllegalInstruction(0xdead_c0de)),
+        }
+    }
+
     fn tick_once(&mut self) {
         // This path moves writer/mailbox state without the event-driven
         // advance's bookkeeping: its cached doorbell must be re-read.
         self.bg_doorbell_stale = true;
-        let mut noprobe = NoProbe;
-        let probe: &mut dyn Probe = match (self.recorder.as_mut(), self.latency.as_mut()) {
-            (Some(rec), _) => rec,
-            (None, Some(lat)) => lat,
-            (None, None) => &mut noprobe,
-        };
-        // Firmware check span: opens when the doorbell is rung, closes
-        // when the firmware's completion write auto-clears it.
-        let mut pending_trap: Option<riscv_isa::Trap> = None;
-        let doorbell = self.rot.mailbox.doorbell_pending();
-        if doorbell && !self.fw_checking {
-            probe.span_begin(Track::Firmware, "cfi-check", self.bg_cycle);
-            self.fw_checking = true;
-            // Check-entry fault window: the firmware has not touched policy
-            // state yet, so a glitch here restarts the check idempotently.
-            if self.rot_health == RotHealth::Healthy {
-                let fault = self
-                    .injector
-                    .as_ref()
-                    .map_or(CheckFault::None, FaultInjector::check_fault);
-                match fault {
-                    CheckFault::None => {}
-                    CheckFault::Glitch => {
-                        probe.instant(Track::Firmware, "fault.glitch", self.bg_cycle);
-                        if self.poll_pc != 0 {
-                            // Transient PC upset: the core restarts from the
-                            // poll loop and re-enters the pending check.
-                            self.rot.core.hart.pc = self.poll_pc;
-                        }
-                    }
-                    CheckFault::Hang => {
-                        probe.instant(Track::Firmware, "fault.hang", self.bg_cycle);
-                        self.rot_health = RotHealth::Hung;
-                    }
-                    CheckFault::Trap => {
-                        pending_trap = Some(riscv_isa::Trap::IllegalInstruction(0xdead_c0de));
-                    }
-                }
-            }
-        } else if !doorbell && self.fw_checking {
-            probe.span_end(Track::Firmware, self.bg_cycle);
-            self.fw_checking = false;
-        }
+        let injected_trap = self.check_entry(self.rot.mailbox.doorbell_pending());
+        let probe = self.observers.probe();
         if let Some(v) =
             self.writer
                 .tick_probed(self.bg_cycle, &mut self.queue, &self.rot.mailbox, probe)
@@ -522,6 +544,7 @@ impl SystemOnChip {
         let runnable = self.rot_health == RotHealth::Healthy
             && (self.rot.core.state() == ibex_model::IbexState::Running
                 || self.rot.mailbox.doorbell_pending());
+        let mut rot_trap = None;
         if runnable && self.rot.core.cycle() <= self.bg_cycle {
             match self.rot.core.step_probed(probe) {
                 Ok(commit) => {
@@ -536,31 +559,28 @@ impl SystemOnChip {
                         probe.counter_add(fw_counter_name(phase, category), commit.cost);
                     }
                 }
-                Err(ibex_model::IbexEvent::Trapped(t)) => {
-                    // A real firmware bug: report it structurally instead of
-                    // panicking the whole campaign worker.
-                    pending_trap = Some(t);
-                }
+                // A real firmware bug: report it structurally instead of
+                // panicking the whole campaign worker.
+                Err(ibex_model::IbexEvent::Trapped(t)) => rot_trap = Some(t),
                 Err(_) => {}
             }
         }
-        if let Some(t) = pending_trap {
+        if let Some(t) = rot_trap.or(injected_trap) {
             self.record_firmware_trap(t);
         }
         self.bg_cycle += 1;
     }
 
     /// Event-driven form of [`SystemOnChip::advance_background`], used by
-    /// the block-compiled fast path. Per-tick semantics are identical to
-    /// [`SystemOnChip::tick_once`] — writer first, then the IRQ fabric,
-    /// then at most one RoT instruction — but provably inert ticks (no
-    /// writer event due per [`LogWriter::next_event`], no RoT instruction
-    /// retiring) are jumped over instead of simulated. With
+    /// the fast engine. Per-tick semantics are identical to
+    /// [`SystemOnChip::tick_once`] — check-entry bookkeeping first, then
+    /// the writer, the IRQ fabric, and at most one RoT instruction — but
+    /// provably inert ticks (no doorbell edge unseen, no writer event due
+    /// per [`LogWriter::next_event`], no RoT instruction retiring) are
+    /// jumped over instead of simulated. Latency stamps and writer-side
+    /// faults all land on writer events, so both ride along. With
     /// `until_queue_space` the advance instead runs until the CFI queue has
     /// a free slot (the queue-full commit stall) and `until` is ignored.
-    ///
-    /// Only legal when no probe, injector, or per-commit violation policy
-    /// is attached — the same preconditions as superblock dispatch.
     fn advance_background_fast(&mut self, until: u64, until_queue_space: bool) {
         if until_queue_space {
             if !self.queue.is_full() {
@@ -582,7 +602,6 @@ impl SystemOnChip {
             self.bg_doorbell_stale = false;
             let db = self.rot.mailbox.doorbell_pending();
             self.rot.sync_irq_level(db);
-            self.fw_checking = db;
             db
         } else {
             self.bg_doorbell
@@ -637,7 +656,9 @@ impl SystemOnChip {
             } else {
                 until
             };
-            if poke {
+            // A poke, or a doorbell edge the tick-start bookkeeping has not
+            // seen yet (the check-entry fault window), is due now.
+            if poke || doorbell != self.fw_checking {
                 next = self.bg_cycle;
             }
             if let Some(w) = writer_next {
@@ -647,19 +668,23 @@ impl SystemOnChip {
                 next = next.min(r);
             }
             if next > self.bg_cycle {
-                // Jumped-over ticks are no-ops by construction: the writer
-                // has no event due and the RoT has no instruction retiring.
+                // Jumped-over ticks are no-ops by construction: no edge is
+                // pending, the writer has no event due and the RoT has no
+                // instruction retiring.
                 self.bg_cycle = next;
                 continue;
             }
             // ---- simulate the tick at `self.bg_cycle` ----
+            let injected_trap = self.check_entry(doorbell);
             let writer_due = poke || writer_next == Some(self.bg_cycle);
             poke = false;
             if writer_due {
-                if let Some(v) = self
-                    .writer
-                    .tick(self.bg_cycle, &mut self.queue, &self.rot.mailbox)
-                {
+                if let Some(v) = self.writer.tick_probed(
+                    self.bg_cycle,
+                    &mut self.queue,
+                    &self.rot.mailbox,
+                    self.observers.probe(),
+                ) {
                     self.violations.push(v);
                 }
                 // The writer may have rung the doorbell on its final beat;
@@ -670,12 +695,12 @@ impl SystemOnChip {
                 if db != doorbell {
                     doorbell = db;
                     self.rot.sync_irq_level(doorbell);
-                    self.fw_checking = doorbell;
                 }
             }
             let rot_steps = self.rot_health == RotHealth::Healthy
                 && (self.rot.core.state() == ibex_model::IbexState::Running || doorbell)
                 && self.rot.core.cycle() <= self.bg_cycle;
+            let mut rot_trap = None;
             if rot_steps {
                 match self.rot.core.step() {
                     Ok(commit) => {
@@ -689,30 +714,25 @@ impl SystemOnChip {
                             if db != doorbell {
                                 doorbell = db;
                                 self.rot.sync_irq_level(doorbell);
-                                self.fw_checking = doorbell;
                             }
                         }
                     }
-                    Err(ibex_model::IbexEvent::Trapped(t)) => {
-                        self.record_firmware_trap(t);
-                        doorbell = self.rot.mailbox.doorbell_pending();
-                        self.rot.sync_irq_level(doorbell);
-                        self.fw_checking = doorbell;
-                    }
+                    Err(ibex_model::IbexEvent::Trapped(t)) => rot_trap = Some(t),
                     Err(_) => {}
                 }
+            }
+            if let Some(t) = rot_trap.or(injected_trap) {
+                self.record_firmware_trap(t);
+                doorbell = self.rot.mailbox.doorbell_pending();
+                self.rot.sync_irq_level(doorbell);
             }
             self.bg_cycle += 1;
         }
     }
 
-    /// One host-core step in the configured dispatch mode: plain stepping,
-    /// or whole superblocks with the skipped straight-line retirements
+    /// One host superblock, with the skipped straight-line retirements
     /// accounted to the filter (the hardware scans every retirement).
-    fn host_step(&mut self, block: bool, until: u64) -> Result<cva6_model::Commit, Halt> {
-        if !block {
-            return self.core.step();
-        }
+    fn host_block(&mut self, until: u64) -> Result<cva6_model::Commit, Halt> {
         let bs = self.core.step_block(until);
         if bs.straightline > 0 {
             self.filter.note_straightline(bs.straightline);
@@ -727,6 +747,55 @@ impl SystemOnChip {
         bs.result
     }
 
+    /// One fast-engine batch: superblocks up to the next CFI-relevant
+    /// commit, host device access, or `bound`, then a single event-driven
+    /// background catch-up to the last commit. The host and the background
+    /// only interact at queue pushes (CFI-relevant commits) and
+    /// device-window accesses, and superblocks end at both, so deferring
+    /// the catch-up to the batch boundary composes to the same state as
+    /// advancing after every commit.
+    fn run_batch(&mut self, bound: u64) -> Result<cva6_model::Commit, Halt> {
+        let mut commit = self.host_block(bound)?;
+        while !(commit.cf_class.is_cfi_relevant()
+            || self.core.bus_mut().take_io_access()
+            || self.core.cycle() >= bound)
+        {
+            // The filter hardware scans every retirement; account the
+            // skipped straight-line ones.
+            self.filter.note_straightline(1);
+            match self.host_block(bound) {
+                Ok(c) => commit = c,
+                Err(halt) => {
+                    // The halting instruction retired nothing; the last
+                    // commit was straight-line and already accounted.
+                    self.advance_background_fast(commit.cycle, false);
+                    return Err(halt);
+                }
+            }
+        }
+        self.advance_background_fast(commit.cycle, false);
+        Ok(commit)
+    }
+
+    /// The cycle a fast batch must stop at so that an injected check-entry
+    /// trap halts a fail-closed run on the same commit as the reference
+    /// engine, which catches the background up after every commit. While a
+    /// log is queued or in flight any tick may record the trap, so the batch
+    /// ends at the first commit past the caught-up background; otherwise no
+    /// check can start before the next push, which ends the batch anyway.
+    /// (Genuine firmware traps are not bounded: the shipped firmware never
+    /// traps unless a fault is injected.)
+    fn trap_horizon(&self) -> u64 {
+        let armed = self.config.resilience.policy == FailPolicy::FailClosed
+            && self.rot_health == RotHealth::Healthy
+            && self.config.faults.is_some_and(|f| f.firmware_trap != 0);
+        if armed && (self.writer.busy() || !self.queue.is_empty()) {
+            self.bg_cycle + 1
+        } else {
+            u64::MAX
+        }
+    }
+
     /// Records a RoT firmware trap (injected or genuine) as a structured
     /// outcome: the core stops stepping, the mailbox transaction is torn
     /// down so the host side cannot wedge, and the run loop surfaces
@@ -738,7 +807,7 @@ impl SystemOnChip {
         }
         self.rot_health = RotHealth::Trapped(trap);
         let cycle = self.bg_cycle;
-        if let Some(rec) = self.recorder.as_mut() {
+        if let Some(rec) = self.observers.recorder.as_mut() {
             rec.counter_add("fw.traps", 1);
             rec.instant(Track::Firmware, "fault.trap", cycle);
         }
@@ -776,20 +845,13 @@ impl SystemOnChip {
     /// [`SystemOnChip::finish`] once a `Some` halt (or the final slice)
     /// arrives.
     pub fn run_slice(&mut self, until_cycle: u64) -> Option<Halt> {
-        // Quantum batching is legal only when nothing can observe the
-        // skipped per-commit boundaries: no probe recording per-cycle
-        // samples, no fault schedule waiting on transport events.
-        let fast = self.config.fast_path
-            && self.recorder.is_none()
-            && self.latency.is_none()
-            && self.injector.is_none();
-        // Superblock dispatch additionally requires that no per-commit
-        // policy can fire between straight-line retirements: halt- and
-        // trap-on-violation are checked at every commit boundary in the
-        // reference semantics, so block mode leaves them to the per-op
-        // scheduler.
-        let block = fast
-            && self.config.block_compile
+        // The fast engine steps per commit only where the reference
+        // semantics act at every commit boundary: a full recorder samples
+        // every retirement, and halt- / trap-on-violation deliver at each
+        // commit. Next step: superblocks that end where a violation is
+        // delivered.
+        let block = self.config.engine == Engine::Fast
+            && self.observers.recorder.is_none()
             && !self.config.halt_on_violation
             && !self.config.trap_host_on_violation;
         let halt = loop {
@@ -806,152 +868,94 @@ impl SystemOnChip {
             if self.config.halt_on_violation && !self.violations.is_empty() {
                 break Halt::Breakpoint;
             }
-            match self.host_step(block, until_cycle) {
-                Ok(commit) => {
-                    let mut commit = commit;
-                    let mut batch_halt = None;
-                    // Quantum batching: with the transport fully idle (empty
-                    // queue, idle writer, no doorbell, no undelivered
-                    // violation) the background cannot make progress, so
-                    // straight-line commits are retired in a tight loop up
-                    // to the next CFI-relevant commit, host device access,
-                    // budget boundary, or halt. `advance_background` then
-                    // jumps once — its idle fast-forward makes chunked and
-                    // per-commit advancement equivalent. Block mode batches
-                    // through *busy* transport phases too: the host and the
-                    // background only interact at queue pushes (CFI-relevant
-                    // commits) and device-window accesses, and superblocks
-                    // end at both, so deferring the catch-up to the batch
-                    // boundary composes to the same state.
-                    if fast
-                        && (block
-                            || (self.queue.is_empty()
-                                && !self.writer.busy()
-                                && !self.rot.mailbox.doorbell_pending()
-                                && (!self.config.trap_host_on_violation
-                                    || self.violations.len() == self.trapped_violations)))
-                    {
-                        loop {
-                            if commit.cf_class.is_cfi_relevant()
-                                || self.core.bus_mut().take_io_access()
-                                || self.core.cycle() >= until_cycle
-                            {
-                                break;
-                            }
-                            // The filter hardware scans every retirement;
-                            // account the skipped straight-line ones.
-                            self.filter.note_straightline(1);
-                            match self.host_step(block, until_cycle) {
-                                Ok(c) => commit = c,
-                                Err(h) => {
-                                    batch_halt = Some(h);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if block {
-                        self.advance_background_fast(commit.cycle, false);
-                    } else {
-                        self.advance_background(commit.cycle);
-                    }
-                    if let Some(h) = batch_halt {
-                        // The halting instruction retired nothing; the last
-                        // commit was straight-line and already accounted.
-                        break h;
-                    }
-                    // Deliver any violation the background machinery found
-                    // while this instruction was in flight.
-                    if self.config.trap_host_on_violation
-                        && self.violations.len() > self.trapped_violations
-                    {
-                        let v = self.violations[self.trapped_violations];
-                        self.trapped_violations = self.violations.len();
-                        self.core
-                            .inject_exception(CFI_VIOLATION_CAUSE, v.log.target);
-                    }
-                    if let Some(log) = self
-                        .filter
-                        .scan_classified(&commit.retired, commit.cf_class)
-                    {
-                        if let Some(tap) = self.log_tap.as_mut() {
-                            tap.push(log);
-                        }
-                        // Dual-CF conflict: two CF logs in the same commit
-                        // cycle cannot both be pushed (paper §IV-B2).
-                        if self.last_cf_cycle == Some(commit.cycle) {
-                            self.controller.stalls_dual_cf += 1;
-                            self.core.stall(1);
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.metrics.add("stall.dual_cf", 1);
-                                rec.timeline.instant(
-                                    Track::HostCommit,
-                                    "stall.dual_cf",
-                                    self.bg_cycle,
-                                );
-                            }
-                        }
-                        self.last_cf_cycle = Some(commit.cycle);
-                        // Queue full: stall the commit stage until the Log
-                        // Writer frees a slot.
-                        if block && self.queue.is_full() {
-                            // Event-driven form of the wait below (no probe
-                            // attached in block mode); the stall total is
-                            // the same ticks the per-cycle loop would have
-                            // burned, skipped ones included.
-                            let before = self.bg_cycle;
-                            self.advance_background_fast(0, true);
-                            let waited = self.bg_cycle - before;
-                            self.controller.stalls_queue_full += waited;
-                            self.core.stall(waited);
-                        } else if self.queue.is_full() {
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.timeline.span_begin(
-                                    Track::HostCommit,
-                                    "stall.queue_full",
-                                    self.bg_cycle,
-                                );
-                            }
-                            while self.queue.is_full() {
-                                // Sub-attribute the stalled cycle by what the
-                                // pipeline is waiting on: the Log Writer's AXI
-                                // beats, or the RoT still checking.
-                                let axi_busy =
-                                    matches!(self.writer.state(), WriterState::Writing { .. });
-                                let before = self.bg_cycle;
-                                self.tick_once();
-                                let waited = self.bg_cycle - before;
-                                self.controller.stalls_queue_full += waited;
-                                self.core.stall(waited);
-                                if let Some(rec) = self.recorder.as_mut() {
-                                    rec.metrics.add("stall.queue_full", waited);
-                                    rec.metrics.add(
-                                        if axi_busy {
-                                            "stall.axi_busy"
-                                        } else {
-                                            "stall.fw_wait"
-                                        },
-                                        waited,
-                                    );
-                                }
-                            }
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.timeline.span_end(Track::HostCommit, self.bg_cycle);
-                            }
-                        }
-                        let mut noprobe = NoProbe;
-                        let probe: &mut dyn Probe =
-                            match (self.recorder.as_mut(), self.latency.as_mut()) {
-                                (Some(rec), _) => rec,
-                                (None, Some(lat)) => lat,
-                                (None, None) => &mut noprobe,
-                            };
-                        let pushed = self.queue.push_probed(log, self.bg_cycle, probe);
-                        debug_assert!(pushed, "push after full-wait must succeed");
+            let stepped = if block {
+                self.run_batch(until_cycle.min(self.trap_horizon()))
+            } else {
+                self.core
+                    .step()
+                    .inspect(|c| self.advance_background(c.cycle))
+            };
+            let commit = match stepped {
+                Ok(commit) => commit,
+                Err(halt) => break halt,
+            };
+            // Deliver any violation the background machinery found while
+            // this instruction was in flight.
+            if self.config.trap_host_on_violation && self.violations.len() > self.trapped_violations
+            {
+                let v = self.violations[self.trapped_violations];
+                self.trapped_violations = self.violations.len();
+                self.core
+                    .inject_exception(CFI_VIOLATION_CAUSE, v.log.target);
+            }
+            let Some(log) = self
+                .filter
+                .scan_classified(&commit.retired, commit.cf_class)
+            else {
+                continue;
+            };
+            if let Some(tap) = self.log_tap.as_mut() {
+                tap.push(log);
+            }
+            // Dual-CF conflict: two CF logs in the same commit cycle cannot
+            // both be pushed (paper §IV-B2).
+            if self.last_cf_cycle == Some(commit.cycle) {
+                self.controller.stalls_dual_cf += 1;
+                self.core.stall(1);
+                if let Some(rec) = self.observers.recorder.as_mut() {
+                    rec.metrics.add("stall.dual_cf", 1);
+                    rec.timeline
+                        .instant(Track::HostCommit, "stall.dual_cf", self.bg_cycle);
+                }
+            }
+            self.last_cf_cycle = Some(commit.cycle);
+            // Queue full: stall the commit stage until the Log Writer frees
+            // a slot.
+            if block && self.queue.is_full() {
+                // Event-driven form of the wait below (the recorder, which
+                // samples every stalled cycle, forces per-commit stepping);
+                // the stall total is the same ticks the per-cycle loop would
+                // have burned, skipped ones included.
+                let before = self.bg_cycle;
+                self.advance_background_fast(0, true);
+                let waited = self.bg_cycle - before;
+                self.controller.stalls_queue_full += waited;
+                self.core.stall(waited);
+            } else if self.queue.is_full() {
+                if let Some(rec) = self.observers.recorder.as_mut() {
+                    rec.timeline
+                        .span_begin(Track::HostCommit, "stall.queue_full", self.bg_cycle);
+                }
+                while self.queue.is_full() {
+                    // Sub-attribute the stalled cycle by what the pipeline
+                    // is waiting on: the Log Writer's AXI beats, or the RoT
+                    // still checking.
+                    let axi_busy = matches!(self.writer.state(), WriterState::Writing { .. });
+                    let before = self.bg_cycle;
+                    self.tick_once();
+                    let waited = self.bg_cycle - before;
+                    self.controller.stalls_queue_full += waited;
+                    self.core.stall(waited);
+                    if let Some(rec) = self.observers.recorder.as_mut() {
+                        rec.metrics.add("stall.queue_full", waited);
+                        rec.metrics.add(
+                            if axi_busy {
+                                "stall.axi_busy"
+                            } else {
+                                "stall.fw_wait"
+                            },
+                            waited,
+                        );
                     }
                 }
-                Err(halt) => break halt,
+                if let Some(rec) = self.observers.recorder.as_mut() {
+                    rec.timeline.span_end(Track::HostCommit, self.bg_cycle);
+                }
             }
+            let pushed = self
+                .queue
+                .push_probed(log, self.bg_cycle, self.observers.probe());
+            debug_assert!(pushed, "push after full-wait must succeed");
         };
         Some(halt)
     }
@@ -977,7 +981,7 @@ impl SystemOnChip {
         // The drain loop exits on the doorbell-clearing tick, before the
         // next tick would notice the transition — close the span here.
         if self.fw_checking {
-            if let Some(rec) = self.recorder.as_mut() {
+            if let Some(rec) = self.observers.recorder.as_mut() {
                 rec.timeline.span_end(Track::Firmware, self.bg_cycle);
             }
             self.fw_checking = false;
@@ -1033,4 +1037,61 @@ pub fn run_baseline(program: &Program, config: &SocConfig) -> (Halt, u64) {
     let mut core = Cva6Core::new(program, config.mem_size, config.timing);
     let halt = core.run_silent(u64::MAX / 2);
     (halt, core.cycle())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use titancfi_workloads::{Kernel, KERNEL_MEM};
+
+    /// Runs the call-dense kernel on the fast engine with `faults` armed
+    /// and, optionally, the latency collector attached; returns the host's
+    /// superblock-cache hits (zero would mean a silent fallback to
+    /// per-commit stepping) next to the report.
+    fn fast_run(faults: Option<FaultConfig>, latency: bool) -> (u64, SocReport) {
+        let prog = Kernel::by_name("dhry-calls")
+            .expect("kernel")
+            .program()
+            .expect("assembles");
+        let config = SocConfig {
+            mem_size: KERNEL_MEM,
+            faults,
+            engine: Engine::Fast,
+            ..SocConfig::default()
+        };
+        let mut soc = SystemOnChip::new(&prog, config);
+        if latency {
+            soc.attach_latency();
+        }
+        let report = soc.run(50_000_000);
+        assert_eq!(report.halt, Halt::Breakpoint);
+        (soc.core.block_cache_stats().hits, report)
+    }
+
+    #[test]
+    fn latency_collector_rides_the_fast_engine() {
+        let (hits, report) = fast_run(None, true);
+        assert!(report.logs_checked > 0);
+        assert!(
+            hits > 0,
+            "an attached latency collector forced per-commit stepping"
+        );
+    }
+
+    #[test]
+    fn fault_injector_rides_the_fast_engine() {
+        let faults = FaultConfig {
+            doorbell_delay: 3,
+            firmware_glitch: 2,
+            ..FaultConfig::none(7)
+        };
+        let (hits, report) = fast_run(Some(faults), false);
+        let ledger = report.faults.expect("injector armed");
+        assert!(ledger.class(FaultClass::DoorbellDelay).injected > 0);
+        assert!(ledger.class(FaultClass::FirmwareGlitch).injected > 0);
+        assert!(
+            hits > 0,
+            "an armed fault injector forced per-commit stepping"
+        );
+    }
 }

@@ -1,14 +1,9 @@
 //! The predecoded-instruction cache must be architecturally invisible:
 //! stale entries are impossible (stores into executable ranges evict),
-//! and the fast path (predecode + quantum batching) retires the exact
-//! same instruction stream, cycle counts, and CFI verdicts as strict
-//! per-cycle stepping — pinned here for the bare cores, the full SoC,
-//! the multi-core SoC, the scrambled secure-boot flash path, and every
-//! table binary of the evaluation harness.
-//!
-//! All tests except `tables_byte_identical_with_fast_path_default_flipped`
-//! set predecode/fast-path explicitly per instance, so they are immune to
-//! the global-default flip that test performs (tests share one process).
+//! and the fast engine retires the exact same instruction stream, cycle
+//! counts, and CFI verdicts as the reference engine — pinned here for the
+//! bare cores, the full SoC, the multi-core SoC, the scrambled secure-boot
+//! flash path, Table I's firmware checks, and the native-suite traces.
 
 use cva6_model::{Cva6Core, Halt, TimingConfig};
 use ibex_model::{IbexCore, IbexTiming, RegionKind, RegionLatency, SystemBus};
@@ -17,7 +12,8 @@ use opentitan_model::secure_boot::{boot, provision, IMAGE_BASE_WORD};
 use opentitan_model::Flash;
 use riscv_asm::assemble;
 use riscv_isa::{Reg, Xlen};
-use titancfi_soc::{DualHostSoc, SocConfig, SystemOnChip};
+use titancfi::firmware::{FirmwareKind, FirmwareRunner};
+use titancfi_soc::{DualHostSoc, Engine, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, KERNEL_MEM};
 
 /// A program that patches one of its own instructions: the first call of
@@ -355,75 +351,88 @@ loop:
     assert_eq!(runs[0], runs[1], "booted image must run cycle-identically");
 }
 
-/// Full-SoC fingerprints: host + CFI transport + RoT firmware with quantum
-/// batching on vs off, over kernels covering calls, branches, and memory.
+/// Full-SoC fingerprints: host + CFI transport + RoT firmware on the
+/// reference vs the fast engine, over kernels covering calls, branches, and
+/// memory.
 #[test]
-fn soc_reports_identical_fast_path_on_vs_off() {
+fn soc_reports_identical_reference_vs_fast() {
     for name in ["fib", "towers", "crc32", "dhry-calls"] {
         let kernel = all_kernels().find(|k| k.name == name).expect(name);
         let prog = kernel.program().expect("assembles");
         let mut fingerprints = Vec::new();
-        for fast in [false, true] {
+        for engine in Engine::ALL {
             let config = SocConfig {
                 mem_size: KERNEL_MEM,
-                fast_path: fast,
+                engine,
                 ..SocConfig::default()
             };
             let mut soc = SystemOnChip::new(&prog, config);
             let report = soc.run(500_000_000);
-            assert_eq!(report.halt, Halt::Breakpoint, "{name} fast={fast}");
+            assert_eq!(report.halt, Halt::Breakpoint, "{name} {engine:?}");
             fingerprints.push(format!("{report:?}|a0={:#x}", soc.host_reg(Reg::A0)));
         }
         assert_eq!(
             fingerprints[0], fingerprints[1],
-            "{name}: quantum batching changed the SoC report"
+            "{name}: the fast engine changed the SoC report"
         );
     }
 }
 
 #[test]
-fn multicore_report_identical_fast_path_on_vs_off() {
+fn multicore_report_identical_reference_vs_fast() {
     let a = all_kernels().find(|k| k.name == "fib").expect("fib");
     let b = all_kernels().find(|k| k.name == "towers").expect("towers");
     let (a, b) = (a.program().expect("a"), b.program().expect("b"));
     let mut fingerprints = Vec::new();
-    for fast in [false, true] {
+    for engine in Engine::ALL {
         let mut soc = DualHostSoc::new([&a, &b], KERNEL_MEM, 8);
-        soc.set_fast_path(fast);
+        soc.set_engine(engine);
         let report = soc.run(500_000_000);
         fingerprints.push(format!("{report:?}"));
     }
     assert_eq!(
         fingerprints[0], fingerprints[1],
-        "quantum batching changed the multicore report"
+        "the fast engine changed the multicore report"
     );
 }
 
-/// Every table of the evaluation harness must render byte-identically with
-/// the fast path globally off and globally on — the paper's numbers cannot
-/// depend on a simulator optimisation. This is the one test that flips the
-/// process-wide default; all other tests here pin predecode per instance.
+/// Table I's check latencies and cost breakdowns come from the RoT core
+/// alone; they must not depend on its predecode cache.
 #[test]
-fn tables_byte_identical_with_fast_path_default_flipped() {
-    use riscv_isa::predecode::{fast_path_default, set_fast_path_default};
-    let render = || {
-        let mut out = String::new();
-        out.push_str(&titancfi_bench::table1());
-        out.push_str(&titancfi_bench::table2());
-        out.push_str(&titancfi_bench::table3());
-        out.push_str(&titancfi_bench::table4());
-        for name in ["fib", "crc32"] {
-            let kernel = all_kernels().find(|k| k.name == name).expect(name);
-            let (line, _) = titancfi_bench::native_kernel_line(kernel).expect(name);
-            out.push_str(&line);
-        }
-        out
-    };
-    let prev = fast_path_default();
-    set_fast_path_default(false);
-    let slow = render();
-    set_fast_path_default(true);
-    let fast = render();
-    set_fast_path_default(prev);
-    assert_eq!(slow, fast, "tables must not depend on the fast path");
+fn table1_check_latencies_identical_with_predecode_off_and_on() {
+    for kind in FirmwareKind::ALL {
+        let measure = |predecode: bool| {
+            let mut fw = FirmwareRunner::new(kind);
+            fw.set_predecode(predecode);
+            [titancfi_bench::sample_call(), titancfi_bench::sample_ret()].map(|log| fw.check(&log))
+        };
+        let (raw, cached) = (measure(false), measure(true));
+        assert!(
+            raw.iter().all(|m| !m.violation),
+            "{kind:?}: reference pair must pass"
+        );
+        assert_eq!(raw, cached, "{kind:?}: predecode changed a Table I check");
+    }
+}
+
+/// The native-suite lines come from bare CVA6 runs: the full commit trace
+/// must not depend on the predecode cache.
+#[test]
+fn native_kernel_traces_identical_with_predecode_off_and_on() {
+    for kernel in all_kernels() {
+        let prog = kernel.program().expect("assembles");
+        let run = |predecode: bool| {
+            let mut core = Cva6Core::new(&prog, KERNEL_MEM, TimingConfig::default());
+            core.set_predecode(predecode);
+            let (commits, halt) = core.run(titancfi_bench::NATIVE_CYCLE_CAP);
+            (commits, halt, core.cycle(), core.stats())
+        };
+        let (raw, cached) = (run(false), run(true));
+        assert_eq!(raw.1, Halt::Breakpoint, "{}", kernel.name);
+        assert!(
+            raw == cached,
+            "{}: predecode changed the native trace",
+            kernel.name
+        );
+    }
 }

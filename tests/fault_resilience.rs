@@ -12,6 +12,9 @@
 //!   3. **Accountability** — every injected fault ends up detected,
 //!      recovered, or escalated in the [`FaultReport`] ledger; none are
 //!      silently lost.
+//!
+//! Fault-injected runs ride the fast engine; every class is also pinned
+//! report-for-report (ledger included) against the reference engine.
 
 mod common;
 
@@ -19,9 +22,22 @@ use common::{kernel_config, kernel_program, report_fingerprint as fingerprint, r
 use cva6_model::Halt;
 use titancfi::{FailPolicy, ResilienceConfig};
 use titancfi_faults::{FaultClass, FaultConfig};
-use titancfi_soc::{SocConfig, SystemOnChip};
+use titancfi_soc::{Engine, SocConfig, SystemOnChip};
 
 const MAX_CYCLES: u64 = common::RUN_BUDGET;
+
+/// Per-class injection rates (one fault in `n` opportunities) dense enough
+/// that every class fires on the `fib` kernel.
+const CLASS_RATES: [(FaultClass, u32); 8] = [
+    (FaultClass::AxiBeatError, 5),
+    (FaultClass::AxiExtraLatency, 3),
+    (FaultClass::DoorbellDrop, 3),
+    (FaultClass::DoorbellDelay, 3),
+    (FaultClass::BitFlip, 5),
+    (FaultClass::FirmwareGlitch, 2),
+    (FaultClass::FirmwareHang, 1),
+    (FaultClass::FirmwareTrap, 1),
+];
 
 fn tight_resilience(policy: FailPolicy) -> ResilienceConfig {
     ResilienceConfig {
@@ -197,17 +213,7 @@ fn firmware_trap_fail_open_keeps_host_running() {
 fn every_fault_class_detected_or_recovered() {
     // The acceptance matrix in miniature: for each class, a seeded run must
     // terminate within budget with every injected fault accounted for.
-    let rates: [(FaultClass, u32); 8] = [
-        (FaultClass::AxiBeatError, 5),
-        (FaultClass::AxiExtraLatency, 3),
-        (FaultClass::DoorbellDrop, 3),
-        (FaultClass::DoorbellDelay, 3),
-        (FaultClass::BitFlip, 5),
-        (FaultClass::FirmwareGlitch, 2),
-        (FaultClass::FirmwareHang, 1),
-        (FaultClass::FirmwareTrap, 1),
-    ];
-    for (class, one_in) in rates {
+    for (class, one_in) in CLASS_RATES {
         for seed in [11u64, 12] {
             let report = run_kernel(
                 "fib",
@@ -340,4 +346,45 @@ fn fault_runs_are_deterministic_per_seed() {
     assert_eq!(a.watchdog_timeouts, b.watchdog_timeouts);
     assert_eq!(a.writer_retries, b.writer_retries);
     assert_eq!(a.faults, b.faults);
+}
+
+#[test]
+fn faulted_reports_identical_across_engines() {
+    // Firmware faults sparser than in `CLASS_RATES`, so the first one lands
+    // mid-run — after the fast engine has batched through busy transport
+    // phases — instead of on the very first check.
+    let rates = CLASS_RATES.map(|(class, one_in)| match class {
+        FaultClass::FirmwareHang | FaultClass::FirmwareTrap => (class, 5),
+        _ => (class, one_in),
+    });
+    // A short watchdog keeps the reference engine's per-cycle ticking
+    // through a dead RoT's escalations affordable.
+    let resilience = |policy| ResilienceConfig {
+        watchdog_timeout: 200,
+        max_attempts: 2,
+        backoff: 16,
+        policy,
+    };
+    for (class, one_in) in rates {
+        for seed in [11u64, 12] {
+            for policy in [FailPolicy::FailClosed, FailPolicy::FailOpen] {
+                let [reference, fast] = Engine::ALL.map(|engine| {
+                    let report = run_kernel(
+                        "fib",
+                        SocConfig {
+                            resilience: resilience(policy),
+                            faults: Some(FaultConfig::only(class, one_in, seed)),
+                            engine,
+                            ..kernel_config()
+                        },
+                    );
+                    format!("{report:?}")
+                });
+                assert_eq!(
+                    reference, fast,
+                    "{class} seed {seed} {policy:?}: the engines disagree"
+                );
+            }
+        }
+    }
 }
