@@ -16,6 +16,11 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench build + unit tests"
+# The repository benchmark is its own Cargo workspace built against
+# crates/* by path; building it here catches API changes that break it.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> trace smoke (instrumented run + Perfetto export)"
 trace_dir=$(mktemp -d)
 cargo run --release -p titancfi-bench --bin trace -- \
@@ -41,8 +46,8 @@ echo "==> fuzz smoke (differential oracle over a seed slice + planted-bug self-t
 # The fuzz binary exits nonzero if any seed's program behaves differently
 # across the engine/firmware/resilience/multicore matrix. The engine axis
 # has two cells — reference and fast (predecode, superblock dispatch,
-# event-driven background) — on both the single- and the dual-core SoC,
-# so every seed exercises the translation cache. Every
+# event-driven background) — on the SoC with one hart and with two, so
+# every seed exercises the translation cache. Every
 # seed also sweeps the policy axis: benign plus all three corruption
 # variants (return hijack / jump-table smash / fn-ptr type confusion),
 # each of which must be flagged by exactly the predicted policy. The

@@ -72,9 +72,9 @@ fn bench_full_system() {
     });
 }
 
-/// Dual-core vs single-core: the shared RoT serialises checks from both
-/// cores; this times the co-simulation and lets the reported cycle counts
-/// show the contention.
+/// Two harts vs one: the shared RoT serialises checks from both harts;
+/// this times the co-simulation and lets the reported cycle counts show
+/// the contention.
 fn bench_multicore() {
     let fib = titancfi_workloads::Kernel::by_name("fib")
         .expect("fib")
@@ -85,7 +85,10 @@ fn bench_multicore() {
         .program()
         .expect("ok");
     bench("dual_core_fib_towers", || {
-        let mut soc = titancfi_soc::DualHostSoc::new([&fib, &towers], 1 << 20, 8);
+        let mut soc = titancfi_soc::SystemOnChip::with_harts(
+            &[&fib, &towers],
+            titancfi_soc::SocConfig::default(),
+        );
         black_box(soc.run(1_000_000_000))
     });
 }

@@ -60,7 +60,7 @@ fn bench_queue() {
     let mut q = CfiQueue::new(8);
     bench("cfi_queue_push_pop_depth8", || {
         for _ in 0..8 {
-            q.push(black_box(log));
+            q.push(0, black_box(log));
         }
         for _ in 0..8 {
             black_box(q.pop());
@@ -83,7 +83,7 @@ fn bench_probe_overhead() {
     let mut noprobe = NoProbe;
     bench("probe/queue_depth8_noprobe", || {
         for cycle in 0..8 {
-            q.push_probed(black_box(log), cycle, &mut noprobe);
+            q.push_probed(0, black_box(log), cycle, &mut noprobe);
         }
         for cycle in 0..8 {
             black_box(q.pop_probed(cycle, &mut noprobe));
@@ -92,7 +92,7 @@ fn bench_probe_overhead() {
     let mut recorder = Recorder::new();
     bench("probe/queue_depth8_recording", || {
         for cycle in 0..8 {
-            q.push_probed(black_box(log), cycle, &mut recorder);
+            q.push_probed(0, black_box(log), cycle, &mut recorder);
         }
         for cycle in 0..8 {
             black_box(q.pop_probed(cycle, &mut recorder));

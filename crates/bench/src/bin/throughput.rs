@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use titancfi_harness::Json;
-use titancfi_soc::{DualHostSoc, Engine, SocConfig, SystemOnChip};
+use titancfi_soc::{Engine, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, Kernel, KERNEL_MEM};
 
 const USAGE: &str = "\
@@ -163,15 +163,19 @@ fn run_soc(name: &str, engine: Engine, latency: bool, budget: u64) -> RunOutcome
 fn run_multicore(engine: Engine, budget: u64) -> RunOutcome {
     let a = kernel("fib").program().expect("assembles");
     let b = kernel("towers").program().expect("assembles");
-    let mut soc = DualHostSoc::new([&a, &b], KERNEL_MEM, 8);
-    soc.set_engine(engine);
+    let config = SocConfig {
+        mem_size: KERNEL_MEM,
+        engine,
+        ..SocConfig::default()
+    };
+    let mut soc = SystemOnChip::with_harts(&[&a, &b], config);
     let t = Instant::now();
     let r = soc.run(budget);
     let wall_secs = t.elapsed().as_secs_f64();
     RunOutcome {
         fingerprint: format!("{r:?}"),
-        sim_cycles: r.cores[0].cycles + r.cores[1].cycles,
-        instret: r.cores.iter().map(|c| c.instret).sum(),
+        sim_cycles: r.harts.iter().map(|h| h.cycles).sum(),
+        instret: r.harts.iter().map(|h| h.core.instret).sum(),
         wall_secs,
     }
 }

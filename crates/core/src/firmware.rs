@@ -399,13 +399,14 @@ poll_loop:
     j    poll_loop
 ";
 
-/// The multi-core CFI policy: identical to [`CFI_CHECK_ASM`]'s shadow
-/// stack, but the commit log carries the originating core's id in mailbox
-/// word 7 and the firmware keeps one shadow-stack *bank per core* — the
-/// paper's "multi-core hosts" future work (§VII). Bank records are 16
-/// bytes: {ssp, limit, base, overflow-count}.
+/// The multi-hart CFI policy: identical to [`CFI_CHECK_ASM`]'s shadow
+/// stack, but the firmware keeps one shadow-stack *bank per hart*, picked
+/// by the hart id the mailbox latched from the ring's AXI source id — the
+/// paper's "multi-core hosts" future work (§VII). Word 7 keeps carrying
+/// the transport integrity word. Bank records are 16 bytes: {ssp, limit,
+/// base, overflow-count}.
 const CFI_CHECK_MC_ASM: &str = r"
-# ---------------- CFI policy: per-core shadow stacks ----------------
+# ---------------- CFI policy: per-hart shadow stacks ----------------
 cfi_begin:
 cfi_check:
     li   a0, 0xc0000000      # CFI mailbox base
@@ -442,8 +443,8 @@ mc_handle_jalr:
     j    mc_respond_ok
 
 mc_do_call:
-    # a1 <- this core's bank record (16 bytes each, id in mailbox word 7)
-    lw   t2, 28(a0)          # core id                           [SoC]
+    # a1 <- this hart's bank record (16 bytes each)
+    lw   t2, 0x28(a0)        # hart id (mailbox source)          [SoC]
     andi t2, t2, 1           # two banks modelled
     slli t2, t2, 4
     la   a1, ssp_banks
@@ -461,7 +462,7 @@ mc_do_call:
     j    mc_respond_ok
 
 mc_do_ret:
-    lw   t2, 28(a0)          # core id                           [SoC]
+    lw   t2, 0x28(a0)        # hart id (mailbox source)          [SoC]
     andi t2, t2, 1
     slli t2, t2, 4
     la   a1, ssp_banks
@@ -488,7 +489,7 @@ mc_respond:
     ret
 cfi_end:
 
-# ---------------- per-core policy state ----------------
+# ---------------- per-hart policy state ----------------
 .align 4
 ssp_banks:
 ssp0:           .word ss0_base
@@ -507,17 +508,32 @@ ss1_base:       .zero 2048
 ss1_limit:
 ";
 
-/// Assembles the multi-core polling firmware (two shadow-stack banks,
-/// core id in mailbox word 7).
+/// Assembles the firmware a SoC with `harts` host harts boots: the
+/// [`build_firmware`] image for one hart, the banked shadow-stack image
+/// (one bank per hart) for two.
 ///
 /// # Panics
 ///
-/// Panics if the embedded sources fail to assemble (a build-time bug).
+/// Panics unless `harts` is 1 or 2, or when two harts ask for a `kind`
+/// other than [`FirmwareKind::Polling`]: the banked firmware exists only
+/// as the two-bank polling variant.
 #[must_use]
-pub fn build_multicore_firmware() -> Program {
+pub fn build_firmware_for_harts(kind: FirmwareKind, harts: usize) -> Program {
+    assert!(
+        (1..=2).contains(&harts),
+        "the RoT firmware serves 1 or 2 harts, not {harts}"
+    );
+    if harts == 1 {
+        return build_firmware(kind);
+    }
+    assert_eq!(
+        kind,
+        FirmwareKind::Polling,
+        "the banked multi-hart firmware is polling-only"
+    );
     let source = format!("{POLLING_TOP_ASM}\n{CFI_CHECK_MC_ASM}");
     assemble(&source, riscv_isa::Xlen::Rv32, map::SRAM_BASE)
-        .expect("embedded multicore firmware must assemble")
+        .expect("embedded banked firmware must assemble")
 }
 
 /// Assembles the firmware for `kind`, based at the RoT scratchpad.

@@ -50,4 +50,4 @@ pub use accounting::{Breakdown, Category, Cost, Phase};
 pub use commit_log::CommitLog;
 pub use filter::{CfiFilter, FilterStats};
 pub use log_writer::{AxiTiming, FailPolicy, LogWriter, ResilienceConfig, Violation, WriterState};
-pub use queue::{CfiQueue, QueueController, StallReason};
+pub use queue::{CfiQueue, QueueController};

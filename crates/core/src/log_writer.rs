@@ -11,7 +11,9 @@
 //! on the completion wait, bounded retry (re-write beats, re-ring the
 //! doorbell, exponential backoff), a per-log sequence number plus checksum
 //! stored in spare mailbox word 7, and a configurable fail-closed /
-//! fail-open escalation once retries are exhausted. With no
+//! fail-open escalation once retries are exhausted. On a multi-hart SoC
+//! the one writer serves every hart: the queue entry's hart rides the ring
+//! as the AXI source id, which the mailbox latches for the firmware. With no
 //! [`FaultInjector`] attached and a responsive RoT the added machinery is
 //! inert: the fault-free path takes exactly the same cycles as the plain
 //! paper FSM.
@@ -131,6 +133,8 @@ const MAX_BEAT_REPLAYS: u32 = 16;
 /// A detected control-flow violation (the exception the FSM raises).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Violation {
+    /// The hart whose commit produced the log (0 on a single-hart SoC).
+    pub hart: u8,
     /// The offending commit log.
     pub log: CommitLog,
     /// Cycle at which the verdict was read.
@@ -145,6 +149,8 @@ pub struct LogWriter {
     resilience: ResilienceConfig,
     injector: Option<FaultInjector>,
     current: Option<CommitLog>,
+    /// Hart of the in-flight log: the AXI source id of its doorbell ring.
+    hart: u8,
     /// Cycle the doorbell for the in-flight log was rung (latency probe).
     doorbell_rung_at: u64,
     /// Failed delivery attempts for the in-flight log.
@@ -194,6 +200,7 @@ impl LogWriter {
             resilience,
             injector: None,
             current: None,
+            hart: 0,
             doorbell_rung_at: 0,
             attempt: 0,
             seq: 0,
@@ -294,8 +301,9 @@ impl LogWriter {
     ) -> Option<Violation> {
         match self.state {
             WriterState::Idle => {
-                if let Some(log) = queue.pop_probed(now, probe) {
+                if let Some((hart, log)) = queue.pop_probed(now, probe) {
                     self.current = Some(log);
+                    self.hart = hart;
                     self.seq = self.seq.wrapping_add(1);
                     self.attempt = 0;
                     self.beat_replays = 0;
@@ -423,7 +431,11 @@ impl LogWriter {
                 if verdict != 0 {
                     self.violations += 1;
                     probe.instant(Track::LogWriter, "violation", now);
-                    return Some(Violation { log, cycle: now });
+                    return Some(Violation {
+                        hart: self.hart,
+                        log,
+                        cycle: now,
+                    });
                 }
                 None
             }
@@ -480,7 +492,7 @@ impl LogWriter {
         mailbox: &CfiMailbox,
         probe: &mut dyn Probe,
     ) -> Option<Violation> {
-        if mailbox.host_ring_doorbell_verified_probed(self.seq, now, probe) {
+        if mailbox.host_ring_doorbell_verified_probed(self.seq, self.hart, now, probe) {
             self.ring_accepted = true;
             self.doorbell_rung_at = now;
             probe.log_doorbell(now);
@@ -553,7 +565,11 @@ impl LogWriter {
                 probe.log_abandoned(now, true);
                 probe.counter_add("writer.forced_violations", 1);
                 probe.instant(Track::LogWriter, "escalate-fail-closed", now);
-                Some(Violation { log, cycle: now })
+                Some(Violation {
+                    hart: self.hart,
+                    log,
+                    cycle: now,
+                })
             }
             FailPolicy::FailOpen => {
                 self.dropped_logs += 1;
@@ -608,7 +624,7 @@ mod tests {
         let mut queue = CfiQueue::new(4);
         let mailbox = CfiMailbox::new();
         let mut writer = LogWriter::new(AxiTiming::default());
-        queue.push(log(0x8000_0000));
+        queue.push(0, log(0x8000_0000));
         let mut violation = None;
         let mut cycle = 0;
         for now in 0..10_000u64 {
@@ -642,6 +658,26 @@ mod tests {
     }
 
     #[test]
+    fn queued_hart_rides_the_ring_and_the_violation() {
+        let mut queue = CfiQueue::new(4);
+        let mailbox = CfiMailbox::new();
+        mailbox.enable_integrity();
+        let mut writer = LogWriter::new(AxiTiming::default());
+        queue.push(1, log(0x8000_0000));
+        let mut violation = None;
+        for now in 0..10_000u64 {
+            mock_rot_respond(&mailbox, 1);
+            violation = writer.tick(now, &mut queue, &mailbox);
+            if violation.is_some() {
+                break;
+            }
+        }
+        assert_eq!(mailbox.source(), 1, "the ring carries the hart");
+        assert_eq!(violation.expect("violation raised").hart, 1);
+        assert_eq!(writer.integrity_rejects, 0);
+    }
+
+    #[test]
     fn transfer_takes_beats_times_latency() {
         let (_, _, cycles) = run_one(0);
         let t = AxiTiming::default();
@@ -662,7 +698,7 @@ mod tests {
             next: 0x1111_2222_3333_4448,
             target: 0x5555_6666_7777_8888,
         };
-        queue.push(sent);
+        queue.push(0, sent);
         for now in 0..1000 {
             writer.tick(now, &mut queue, &mailbox);
             if mailbox.doorbell_pending() {
@@ -687,7 +723,7 @@ mod tests {
         let mailbox = CfiMailbox::new();
         let mut writer = LogWriter::new(AxiTiming::default());
         let mut rec = titancfi_obs::Recorder::new();
-        queue.push(log(0x8000_0000));
+        queue.push(0, log(0x8000_0000));
         for now in 0..10_000u64 {
             if mailbox.doorbell_pending() {
                 let mut dev = mailbox.device();
@@ -739,7 +775,7 @@ mod tests {
         let mut queue = CfiQueue::new(4);
         let mailbox = CfiMailbox::new();
         let mut writer = LogWriter::with_resilience(AxiTiming::default(), resilience);
-        queue.push(log(0x8000_0000));
+        queue.push(0, log(0x8000_0000));
         for now in 0..budget {
             writer.tick(now, &mut queue, &mailbox);
             if now > 0 && !writer.busy() && queue.is_empty() {
@@ -760,7 +796,7 @@ mod tests {
         let mut queue = CfiQueue::new(4);
         let mailbox = CfiMailbox::new();
         let mut writer = LogWriter::with_resilience(AxiTiming::default(), resilience);
-        queue.push(log(0x8000_0000));
+        queue.push(0, log(0x8000_0000));
         let mut violation = None;
         let mut done_at = 0;
         // 3 attempts x (write + 500 wait) + backoffs is well under 4_000.
@@ -825,7 +861,7 @@ mod tests {
         );
         writer.attach_injector(injector.clone());
         for i in 0..20 {
-            queue.push(log(0x8000_0000 + 8 * i));
+            queue.push(0, log(0x8000_0000 + 8 * i));
         }
         for now in 0..2_000_000u64 {
             mock_rot_respond(&mailbox, 0);
@@ -866,7 +902,7 @@ mod tests {
         );
         writer.attach_injector(injector.clone());
         for i in 0..20 {
-            queue.push(log(0x8000_0000 + 8 * i));
+            queue.push(0, log(0x8000_0000 + 8 * i));
         }
         for now in 0..2_000_000u64 {
             mock_rot_respond(&mailbox, 0);
@@ -897,7 +933,7 @@ mod tests {
                 writer.attach_injector(inj);
             }
             for i in 0..10 {
-                queue.push(log(0x8000_0000 + 8 * i));
+                queue.push(0, log(0x8000_0000 + 8 * i));
             }
             let mut trace = Vec::new();
             for now in 0..100_000u64 {

@@ -6,15 +6,19 @@
 //! is full, or (b) *both* commit ports retire a control-flow instruction in
 //! the same cycle (two pushes would be needed). The queue depth is the key
 //! run-time/area knob: Table II uses depth 1, Table III depth 8.
+//!
+//! On a multi-hart SoC every hart's filters feed this one queue; each entry
+//! carries the hart that committed it, which the Log Writer presents as
+//! the AXI source id of the doorbell ring.
 
 use crate::commit_log::CommitLog;
 use std::collections::VecDeque;
-use titancfi_obs::{NoProbe, Probe, Track};
+use titancfi_obs::{Probe, Track};
 
 /// The commit-log FIFO.
 #[derive(Debug, Clone)]
 pub struct CfiQueue {
-    entries: VecDeque<CommitLog>,
+    entries: VecDeque<(u8, CommitLog)>,
     depth: usize,
     /// High-water mark (for area/behaviour analysis).
     pub max_occupancy: usize,
@@ -66,13 +70,13 @@ impl CfiQueue {
         self.entries.len() == self.depth
     }
 
-    /// Pushes a log; returns `false` (and drops nothing) when full.
+    /// Pushes `hart`'s log; returns `false` (and drops nothing) when full.
     #[inline]
-    pub fn push(&mut self, log: CommitLog) -> bool {
+    pub fn push(&mut self, hart: u8, log: CommitLog) -> bool {
         if self.is_full() {
             return false;
         }
-        self.entries.push_back(log);
+        self.entries.push_back((hart, log));
         self.pushes += 1;
         self.max_occupancy = self.max_occupancy.max(self.entries.len());
         true
@@ -80,8 +84,14 @@ impl CfiQueue {
 
     /// Like [`CfiQueue::push`], marking the push on the queue timeline
     /// track and sampling the resulting occupancy.
-    pub fn push_probed(&mut self, log: CommitLog, cycle: u64, probe: &mut dyn Probe) -> bool {
-        let pushed = self.push(log);
+    pub fn push_probed(
+        &mut self,
+        hart: u8,
+        log: CommitLog,
+        cycle: u64,
+        probe: &mut dyn Probe,
+    ) -> bool {
+        let pushed = self.push(hart, log);
         if pushed {
             probe.log_accepted(cycle);
         }
@@ -97,15 +107,15 @@ impl CfiQueue {
         pushed
     }
 
-    /// Pops the oldest log.
+    /// Pops the oldest log with its hart.
     #[inline]
-    pub fn pop(&mut self) -> Option<CommitLog> {
+    pub fn pop(&mut self) -> Option<(u8, CommitLog)> {
         self.entries.pop_front()
     }
 
     /// Like [`CfiQueue::pop`], marking the pop on the queue timeline track
     /// and sampling the resulting occupancy.
-    pub fn pop_probed(&mut self, cycle: u64, probe: &mut dyn Probe) -> Option<CommitLog> {
+    pub fn pop_probed(&mut self, cycle: u64, probe: &mut dyn Probe) -> Option<(u8, CommitLog)> {
         let log = self.pop();
         if log.is_some() && probe.enabled() {
             probe.instant(Track::Queue, "pop", cycle);
@@ -114,27 +124,18 @@ impl CfiQueue {
         log
     }
 
-    /// Peeks at the oldest log without removing it.
+    /// Peeks at the oldest log and its hart without removing them.
     #[must_use]
     #[inline]
-    pub fn front(&self) -> Option<&CommitLog> {
+    pub fn front(&self) -> Option<&(u8, CommitLog)> {
         self.entries.front()
     }
 }
 
-/// Commit-stage back-pressure decision for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallReason {
-    /// No stall: commits proceed.
-    None,
-    /// The CFI queue is full.
-    QueueFull,
-    /// Both commit ports retired a control-flow instruction this cycle and
-    /// the queue accepts only one push per cycle.
-    DualControlFlow,
-}
-
-/// The Queue Controller: owns the stall policy and its counters.
+/// The Queue Controller's stall counters. The SoC applies the stall rule
+/// at each commit (`SystemOnChip` in `titancfi-soc`): a full queue holds
+/// the commit stage until the Log Writer frees a slot, and a hart's second
+/// control-flow log in one commit cycle costs one stall cycle.
 #[derive(Debug, Clone, Default)]
 pub struct QueueController {
     /// Cycles stalled because the queue was full.
@@ -148,39 +149,6 @@ impl QueueController {
     #[must_use]
     pub fn new() -> QueueController {
         QueueController::default()
-    }
-
-    /// Evaluates the stall condition for a cycle in which `cf_this_cycle`
-    /// control-flow logs want to enter the queue.
-    pub fn evaluate(&mut self, queue: &CfiQueue, cf_this_cycle: usize) -> StallReason {
-        self.evaluate_probed(queue, cf_this_cycle, &mut NoProbe)
-    }
-
-    /// Like [`QueueController::evaluate`], attributing the stall decision
-    /// to the `stall.*` probe counters.
-    pub fn evaluate_probed(
-        &mut self,
-        queue: &CfiQueue,
-        cf_this_cycle: usize,
-        probe: &mut dyn Probe,
-    ) -> StallReason {
-        if cf_this_cycle > 1 {
-            self.stalls_dual_cf += 1;
-            probe.counter_add("stall.dual_cf", 1);
-            return StallReason::DualControlFlow;
-        }
-        if cf_this_cycle == 1 && queue.is_full() {
-            self.stalls_queue_full += 1;
-            probe.counter_add("stall.queue_full", 1);
-            return StallReason::QueueFull;
-        }
-        StallReason::None
-    }
-
-    /// Total stall events recorded.
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls_queue_full + self.stalls_dual_cf
     }
 }
 
@@ -200,22 +168,22 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let mut q = CfiQueue::new(4);
-        for pc in [10, 20, 30] {
-            assert!(q.push(log(pc)));
+        for (hart, pc) in [(0, 10), (1, 20), (0, 30)] {
+            assert!(q.push(hart, log(pc)));
         }
-        assert_eq!(q.pop().map(|l| l.pc), Some(10));
-        assert_eq!(q.pop().map(|l| l.pc), Some(20));
-        assert_eq!(q.front().map(|l| l.pc), Some(&30).copied());
-        assert_eq!(q.pop().map(|l| l.pc), Some(30));
+        assert_eq!(q.pop().map(|(h, l)| (h, l.pc)), Some((0, 10)));
+        assert_eq!(q.pop().map(|(h, l)| (h, l.pc)), Some((1, 20)));
+        assert_eq!(q.front().map(|(_, l)| l.pc), Some(30));
+        assert_eq!(q.pop().map(|(_, l)| l.pc), Some(30));
         assert!(q.pop().is_none());
     }
 
     #[test]
     fn push_refused_when_full() {
         let mut q = CfiQueue::new(1);
-        assert!(q.push(log(1)));
+        assert!(q.push(0, log(1)));
         assert!(q.is_full());
-        assert!(!q.push(log(2)), "second push must be refused at depth 1");
+        assert!(!q.push(0, log(2)), "second push must be refused at depth 1");
         assert_eq!(q.len(), 1);
         assert_eq!(q.pushes, 1);
     }
@@ -224,7 +192,7 @@ mod tests {
     fn occupancy_high_water_mark() {
         let mut q = CfiQueue::new(8);
         for pc in 0..5 {
-            q.push(log(pc));
+            q.push(0, log(pc));
         }
         q.pop();
         q.pop();
@@ -236,29 +204,5 @@ mod tests {
     #[should_panic(expected = "depth")]
     fn zero_depth_rejected() {
         let _ = CfiQueue::new(0);
-    }
-
-    #[test]
-    fn controller_stalls_on_full_queue() {
-        let mut q = CfiQueue::new(1);
-        q.push(log(1));
-        let mut qc = QueueController::new();
-        assert_eq!(qc.evaluate(&q, 1), StallReason::QueueFull);
-        assert_eq!(
-            qc.evaluate(&q, 0),
-            StallReason::None,
-            "no CF, no stall even when full"
-        );
-        q.pop();
-        assert_eq!(qc.evaluate(&q, 1), StallReason::None);
-        assert_eq!(qc.stalls_queue_full, 1);
-    }
-
-    #[test]
-    fn controller_stalls_on_dual_cf() {
-        let q = CfiQueue::new(8);
-        let mut qc = QueueController::new();
-        assert_eq!(qc.evaluate(&q, 2), StallReason::DualControlFlow);
-        assert_eq!(qc.stalls_dual_cf, 1);
     }
 }

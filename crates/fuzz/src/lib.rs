@@ -1,8 +1,8 @@
 //! Differential fuzzing for the TitanCFI co-simulation.
 //!
 //! The simulator has two stepping engines that must be observationally
-//! identical (the reference engine and the fast engine, on the single- and
-//! the dual-core SoC) plus a resilience layer that must be provably inert
+//! identical (the reference engine and the fast engine, on the SoC with one
+//! hart and with two) plus a resilience layer that must be provably inert
 //! on a fault-free transport.
 //! Until now every equivalence claim was pinned by hand-picked kernels;
 //! this crate replaces that with *generated* coverage:
@@ -15,7 +15,7 @@
 //! * [`oracle`] — runs one program under the full configuration matrix
 //!   (reference vs fast engine × IRQ vs polling firmware ×
 //!   resilience armed vs [`titancfi::ResilienceConfig::off`], plus the
-//!   dual-core SoC) and demands byte-identical commit-log streams,
+//!   SoC with two harts) and demands byte-identical commit-log streams,
 //!   shadow-stack verdicts, and report fingerprints. Corruption variants
 //!   (return-address hijack, jump-table smash, function-pointer type
 //!   confusion) must be flagged by exactly the policies the per-variant

@@ -13,9 +13,9 @@
 //! * **Resilience** — the armed default vs [`ResilienceConfig::off`]. On a
 //!   fault-free transport the layer must be provably inert: the *entire*
 //!   report, cycles included, must be identical.
-//! * **Topology** — the dual-core SoC running the same program on both
-//!   cores, reference vs fast engine. Both cores' tagged streams must equal
-//!   the single-core reference stream log for log.
+//! * **Topology** — the SoC with two harts running the same program,
+//!   reference vs fast engine. Both harts' streams must equal the
+//!   single-hart reference stream log for log.
 //!
 //! Corruption variants invert the final check along the **policy
 //! dimension**: the reference stream is replayed through the golden-model
@@ -33,14 +33,17 @@ use titancfi::{CommitLog, FilterStats, ResilienceConfig};
 use titancfi_policies::{
     CfiPolicy, CombinedPolicy, KcfiPolicy, LandingPadPolicy, ShadowStackPolicy,
 };
-use titancfi_soc::{DualHostSoc, Engine, SocConfig, SystemOnChip, CORES};
+use titancfi_soc::{Engine, SocConfig, SystemOnChip};
+
+/// Harts in the oracle's multi-hart topology cell.
+const HARTS: usize = 2;
 
 /// The oracle's run matrix parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixConfig {
     /// Host cycle budget per run (generated programs finish far below it).
     pub budget: u64,
-    /// Also run the dual-core SoC (reference vs fast engine + single-core
+    /// Also run the two-hart SoC (reference vs fast engine + single-hart
     /// cross check).
     pub multicore: bool,
 }
@@ -283,38 +286,41 @@ fn run_single(
     }
 }
 
-/// Observations from one dual-core run.
+/// Observations from one multi-hart run, indexed by hart.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct DualOutcome {
-    halts: [String; CORES],
-    cycles: [u64; CORES],
-    cf_streamed: [u64; CORES],
+struct HartsOutcome {
+    halts: Vec<String>,
+    cycles: Vec<u64>,
+    cf_streamed: Vec<u64>,
     logs_checked: u64,
-    per_core_streams: [Vec<CommitLog>; CORES],
-    per_core_violations: [Vec<CommitLog>; CORES],
+    streams: Vec<Vec<CommitLog>>,
+    violations: Vec<Vec<CommitLog>>,
 }
 
-fn run_dual(prog: &Program, engine: Engine, budget: u64) -> DualOutcome {
-    let mut soc = DualHostSoc::new([prog, prog], FUZZ_MEM, 8);
-    soc.set_engine(engine);
+fn run_harts(prog: &Program, engine: Engine, budget: u64) -> HartsOutcome {
+    let config = SocConfig {
+        mem_size: FUZZ_MEM,
+        engine,
+        ..SocConfig::default()
+    };
+    let mut soc = SystemOnChip::with_harts(&[prog; HARTS], config);
     soc.enable_log_tap();
     let report = soc.run(budget);
-    let tagged = soc.take_log_tap().expect("tap was enabled");
-    let mut streams: [Vec<CommitLog>; CORES] = [Vec::new(), Vec::new()];
-    for t in &tagged {
-        streams[t.core as usize].push(t.log);
-    }
-    let mut violations: [Vec<CommitLog>; CORES] = [Vec::new(), Vec::new()];
+    let mut violations = vec![Vec::new(); HARTS];
     for v in &report.violations {
-        violations[v.core as usize].push(v.log);
+        violations[usize::from(v.hart)].push(v.log);
     }
-    DualOutcome {
-        halts: [0, 1].map(|i| format!("{:?}", report.cores[i].halt)),
-        cycles: [0, 1].map(|i| report.cores[i].cycles),
-        cf_streamed: [0, 1].map(|i| report.cores[i].cf_streamed),
+    HartsOutcome {
+        halts: report
+            .harts
+            .iter()
+            .map(|h| format!("{:?}", h.halt))
+            .collect(),
+        cycles: report.harts.iter().map(|h| h.cycles).collect(),
+        cf_streamed: report.harts.iter().map(|h| h.filter.emitted).collect(),
         logs_checked: report.logs_checked,
-        per_core_streams: streams,
-        per_core_violations: violations,
+        streams: (0..HARTS).map(|i| soc.hart_log_tap(i).to_vec()).collect(),
+        violations,
     }
 }
 
@@ -444,40 +450,37 @@ pub fn check_source(
     }
 
     if matrix.multicore {
-        let dual_ref = run_dual(&prog, Engine::Reference, matrix.budget);
-        let fast = run_dual(&prog, Engine::Fast, matrix.budget);
-        if dual_ref != fast {
+        let harts_ref = run_harts(&prog, Engine::Reference, matrix.budget);
+        let fast = run_harts(&prog, Engine::Fast, matrix.budget);
+        if harts_ref != fast {
             return Err(diverge(format!(
-                "dual-core reference vs fast engine diverge:\n  {dual_ref:?}\n  {fast:?}"
+                "two-hart reference vs fast engine diverge:\n  {harts_ref:?}\n  {fast:?}"
             )));
         }
-        for core in 0..CORES {
-            if dual_ref.per_core_streams[core] != reference.stream {
-                let idx = dual_ref.per_core_streams[core]
+        for hart in 0..HARTS {
+            let stream = &harts_ref.streams[hart];
+            if *stream != reference.stream {
+                let idx = stream
                     .iter()
                     .zip(&reference.stream)
                     .position(|(x, y)| x != y)
-                    .unwrap_or_else(|| {
-                        dual_ref.per_core_streams[core]
-                            .len()
-                            .min(reference.stream.len())
-                    });
+                    .unwrap_or_else(|| stream.len().min(reference.stream.len()));
                 return Err(diverge(format!(
-                    "dual-core core {core} stream ({} logs) differs from single-core reference ({} logs) at index {idx}",
-                    dual_ref.per_core_streams[core].len(),
+                    "two-hart hart {hart} stream ({} logs) differs from single-hart reference ({} logs) at index {idx}",
+                    stream.len(),
                     reference.stream.len(),
                 )));
             }
-            if dual_ref.per_core_violations[core] != reference.violation_logs {
+            if harts_ref.violations[hart] != reference.violation_logs {
                 return Err(diverge(format!(
-                    "dual-core core {core} violations {:?} differ from single-core {:?}",
-                    dual_ref.per_core_violations[core], reference.violation_logs
+                    "two-hart hart {hart} violations {:?} differ from single-hart {:?}",
+                    harts_ref.violations[hart], reference.violation_logs
                 )));
             }
-            if dual_ref.cf_streamed[core] != reference.filter.emitted {
+            if harts_ref.cf_streamed[hart] != reference.filter.emitted {
                 return Err(diverge(format!(
-                    "dual-core core {core} cf_streamed {} != single-core emitted {}",
-                    dual_ref.cf_streamed[core], reference.filter.emitted
+                    "two-hart hart {hart} cf_streamed {} != single-hart emitted {}",
+                    harts_ref.cf_streamed[hart], reference.filter.emitted
                 )));
             }
         }

@@ -6,7 +6,10 @@
 //! when the host's CFI Log Writer finishes a transfer, and a **completion**
 //! register that — unlike a stock SCMI mailbox — is wired straight back to
 //! the CVA6 commit stage rather than to the host interrupt controller. The
-//! CFI check verdict is returned in data word 0.
+//! CFI check verdict is returned in data word 0. A read-only **source**
+//! register latches the AXI source id of the last accepted ring — the hart
+//! whose commit log is pending — so firmware serving several host harts
+//! can bank its policy state per hart.
 //!
 //! Both sides see the same state: the RoT maps it as a [`Device`] on the
 //! Ibex bus; the host-side Log Writer uses the `host_*` methods (modelling
@@ -28,6 +31,9 @@ pub mod regs {
     pub const DOORBELL: u64 = 0x20;
     /// Completion: RoT writes 1, host reads/clears.
     pub const COMPLETION: u64 = 0x24;
+    /// Source (read-only): the AXI source id (host hart) of the last
+    /// accepted doorbell ring.
+    pub const SOURCE: u64 = 0x28;
 }
 
 /// Byte offset one past the last data word.
@@ -38,6 +44,8 @@ struct Shared {
     data: [u32; DATA_WORDS],
     doorbell: bool,
     completion: bool,
+    /// AXI source id latched by the last accepted verified ring.
+    source: u8,
     /// Counters for the evaluation harness.
     doorbells_rung: u64,
     completions_signalled: u64,
@@ -117,12 +125,6 @@ impl CfiMailbox {
         self.shared.lock().expect("mailbox lock").integrity = true;
     }
 
-    /// Whether ring-time integrity verification is on.
-    #[must_use]
-    pub fn integrity_enabled(&self) -> bool {
-        self.shared.lock().expect("mailbox lock").integrity
-    }
-
     /// The word-7 encoding: sequence number in the high half, an XOR-fold
     /// checksum of the seven log words (mixed with the sequence number) in
     /// the low half. Any single-bit flip in words 0–6 or in word 7 itself
@@ -141,17 +143,20 @@ impl CfiMailbox {
         ((acc >> 16) ^ (acc & 0xffff)) as u16
     }
 
-    /// Rings the doorbell after verifying data integrity (when enabled).
+    /// Rings the doorbell on behalf of AXI source `source` (the host hart)
+    /// after verifying data integrity (when enabled); an accepted ring
+    /// latches `source` into [`regs::SOURCE`].
     ///
-    /// Returns `false` without ringing if the stored word 7 does not match
-    /// the presented `seq` and the current data words — the caller must
-    /// rewrite the log and retry. Duplicate and out-of-order sequence
-    /// numbers are accepted (retries are legitimate) but counted so the
-    /// harness can flag lost or replayed logs. With integrity disabled this
-    /// is exactly [`CfiMailbox::host_ring_doorbell_probed`].
+    /// Returns `false` without ringing — and leaves the source register as
+    /// it was — if the stored word 7 does not match the presented `seq` and
+    /// the current data words; the caller must rewrite the log and retry.
+    /// Duplicate and out-of-order sequence numbers are accepted (retries
+    /// are legitimate) but counted so the harness can flag lost or replayed
+    /// logs. With integrity disabled the ring is accepted unchecked.
     pub fn host_ring_doorbell_verified_probed(
         &self,
         seq: u16,
+        source: u8,
         cycle: u64,
         probe: &mut dyn Probe,
     ) -> bool {
@@ -173,6 +178,7 @@ impl CfiMailbox {
                 }
                 s.last_seq = Some(seq);
             }
+            s.source = source;
             s.doorbell = true;
             s.doorbells_rung += 1;
         }
@@ -192,18 +198,6 @@ impl CfiMailbox {
         s.doorbell = false;
         s.completion = false;
         s.aborts += 1;
-    }
-
-    /// Like [`CfiMailbox::host_ring_doorbell`], marking the ring on the
-    /// mailbox timeline track: an instant plus an open `check-pending`
-    /// span that [`CfiMailbox::host_completion_probed`] closes.
-    pub fn host_ring_doorbell_probed(&self, cycle: u64, probe: &mut dyn Probe) {
-        self.host_ring_doorbell();
-        if probe.enabled() {
-            probe.counter_add("mailbox.doorbells", 1);
-            probe.instant(Track::Mailbox, "doorbell", cycle);
-            probe.span_begin(Track::Mailbox, "check-pending", cycle);
-        }
     }
 
     /// Host polls the completion flag.
@@ -275,6 +269,12 @@ impl CfiMailbox {
     pub fn aborts(&self) -> u64 {
         self.shared.lock().expect("mailbox lock").aborts
     }
+
+    /// The latched [`regs::SOURCE`] value.
+    #[must_use]
+    pub fn source(&self) -> u8 {
+        self.shared.lock().expect("mailbox lock").source
+    }
 }
 
 struct MailboxDevice {
@@ -289,6 +289,7 @@ impl MailboxDevice {
             o if o < DATA_END => (s.data[(o / 4) as usize] >> (8 * (o % 4))) as u8,
             regs::DOORBELL => u8::from(s.doorbell),
             regs::COMPLETION => u8::from(s.completion),
+            regs::SOURCE => s.source,
             _ => 0,
         }
     }
@@ -343,7 +344,8 @@ impl Device for MailboxDevice {
                     }
                 }
                 // Reserved bytes (including the upper bytes of the flag
-                // registers) ignore writes.
+                // registers) and the read-only source register ignore
+                // writes.
                 _ => {}
             }
         }
@@ -474,7 +476,7 @@ mod tests {
         mb.enable_integrity();
         write_log(&mb, 1);
         let mut probe = titancfi_obs::NoProbe;
-        assert!(mb.host_ring_doorbell_verified_probed(1, 0, &mut probe));
+        assert!(mb.host_ring_doorbell_verified_probed(1, 0, 0, &mut probe));
         assert!(mb.doorbell_pending());
         assert_eq!(mb.integrity_rejects(), 0);
         assert_eq!(mb.seq_duplicates(), 0);
@@ -491,7 +493,7 @@ mod tests {
                 mb.host_write_data(word, mb.host_read_data(word) ^ (1 << bit));
                 let mut probe = titancfi_obs::NoProbe;
                 assert!(
-                    !mb.host_ring_doorbell_verified_probed(1, 0, &mut probe),
+                    !mb.host_ring_doorbell_verified_probed(1, 0, 0, &mut probe),
                     "flip in word {word} bit {bit} must be rejected"
                 );
                 assert!(!mb.doorbell_pending());
@@ -506,13 +508,13 @@ mod tests {
         mb.enable_integrity();
         let mut probe = titancfi_obs::NoProbe;
         write_log(&mb, 1);
-        assert!(mb.host_ring_doorbell_verified_probed(1, 0, &mut probe));
+        assert!(mb.host_ring_doorbell_verified_probed(1, 0, 0, &mut probe));
         // Retry of the same sequence number: accepted, counted.
-        assert!(mb.host_ring_doorbell_verified_probed(1, 10, &mut probe));
+        assert!(mb.host_ring_doorbell_verified_probed(1, 0, 10, &mut probe));
         assert_eq!(mb.seq_duplicates(), 1);
         // Sequence 3 after 1: a log was lost.
         write_log(&mb, 3);
-        assert!(mb.host_ring_doorbell_verified_probed(3, 20, &mut probe));
+        assert!(mb.host_ring_doorbell_verified_probed(3, 0, 20, &mut probe));
         assert_eq!(mb.seq_gaps(), 1);
     }
 
@@ -522,8 +524,56 @@ mod tests {
         let mut probe = titancfi_obs::NoProbe;
         // Garbage in word 7 and a mismatched seq must still be accepted.
         mb.host_write_data(DATA_WORDS - 1, 0xdead_beef);
-        assert!(mb.host_ring_doorbell_verified_probed(0x55, 0, &mut probe));
+        assert!(mb.host_ring_doorbell_verified_probed(0x55, 0, 0, &mut probe));
         assert!(mb.doorbell_pending());
+    }
+
+    #[test]
+    fn verified_ring_latches_source() {
+        let mb = CfiMailbox::new();
+        let mut dev = mb.device();
+        mb.enable_integrity();
+        write_log(&mb, 1);
+        let mut probe = titancfi_obs::NoProbe;
+        assert!(mb.host_ring_doorbell_verified_probed(1, 1, 0, &mut probe));
+        assert_eq!(mb.source(), 1);
+        assert_eq!(dev.read(regs::SOURCE, MemWidth::W), 1);
+        // Read-only: a RoT-side write does not move it.
+        dev.write(regs::SOURCE, MemWidth::W, 0);
+        assert_eq!(dev.read(regs::SOURCE, MemWidth::W), 1);
+    }
+
+    #[test]
+    fn rejected_ring_leaves_source_unchanged() {
+        let mb = CfiMailbox::new();
+        mb.enable_integrity();
+        let mut probe = titancfi_obs::NoProbe;
+        write_log(&mb, 1);
+        assert!(mb.host_ring_doorbell_verified_probed(1, 1, 0, &mut probe));
+        // A corrupted log from hart 0: rejected, source still hart 1.
+        write_log(&mb, 2);
+        mb.host_write_data(0, mb.host_read_data(0) ^ 1);
+        assert!(!mb.host_ring_doorbell_verified_probed(2, 0, 10, &mut probe));
+        assert_eq!(mb.integrity_rejects(), 1);
+        assert_eq!(mb.source(), 1);
+    }
+
+    #[test]
+    fn interleaved_harts_share_one_sequence() {
+        // Two harts' logs through the one Log Writer: one sequence counter
+        // across both, so interleaving is neither a gap nor a duplicate,
+        // and each ring latches its own hart.
+        let mb = CfiMailbox::new();
+        mb.enable_integrity();
+        let mut probe = titancfi_obs::NoProbe;
+        for (seq, hart) in [(1u16, 0u8), (2, 1), (3, 1), (4, 0), (5, 1)] {
+            write_log(&mb, seq);
+            assert!(mb.host_ring_doorbell_verified_probed(seq, hart, 0, &mut probe));
+            assert_eq!(mb.source(), hart);
+        }
+        assert_eq!(mb.integrity_rejects(), 0);
+        assert_eq!(mb.seq_gaps(), 0);
+        assert_eq!(mb.seq_duplicates(), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! back-pressure), the Log Writer FSM streaming 224-bit commit logs over
 //! AXI into the CFI mailbox, and the OpenTitan RoT whose Ibex core runs the
 //! *actual RV32 shadow-stack firmware* against each log. Violations flagged
-//! by the RoT surface as host exceptions.
+//! by the RoT surface as host exceptions. [`SystemOnChip::with_harts`]
+//! builds the same SoC with several host harts sharing one RoT.
 //!
 //! # Examples
 //!
@@ -26,9 +27,9 @@
 //! ```
 
 mod hostbus;
-mod multicore;
 mod sim;
 
 pub use hostbus::{HostBus, MAILBOX_BASE, MAILBOX_SIZE, SCMI_BASE, SCMI_SIZE};
-pub use multicore::{CoreReport, DualHostSoc, DualReport, TaggedLog, TaggedViolation, CORES};
-pub use sim::{run_baseline, Engine, SocConfig, SocReport, SystemOnChip, CFI_VIOLATION_CAUSE};
+pub use sim::{
+    run_baseline, Engine, HartReport, SocConfig, SocReport, SystemOnChip, CFI_VIOLATION_CAUSE,
+};

@@ -8,13 +8,20 @@
 //! Ibex model. Queue back-pressure stalls the CVA6 commit stage exactly as
 //! in the paper (§IV-B2), and violations raised by the RoT surface as
 //! exceptions.
+//!
+//! The same SoC serves one or more host harts (the paper's §VII multi-core
+//! future work): each hart has its own core and filters, all of them feed
+//! the one queue, Log Writer, mailbox and RoT, and the queue entry's hart
+//! rides the doorbell ring as the AXI source id, which the banked firmware
+//! reads to keep one shadow stack per hart.
 
 use crate::hostbus::HostBus;
 use cva6_model::{Cva6Core, Halt, TimingConfig};
 use opentitan_model::rot::LatencyProfile;
 use opentitan_model::{OpenTitan, ScmiWire, ScmiWireService};
 use riscv_asm::Program;
-use titancfi::firmware::{build_firmware, FirmwareKind};
+use std::collections::BTreeMap;
+use titancfi::firmware::{build_firmware_for_harts, FirmwareKind};
 use titancfi::{
     AxiTiming, Category, CfiFilter, CfiQueue, FailPolicy, LogWriter, Phase, QueueController,
     ResilienceConfig, Violation, WriterState,
@@ -55,12 +62,12 @@ pub struct SocConfig {
     /// verification and as the reference semantics.
     pub engine: Engine,
     /// Decode-cache capacity (slots, rounded up to a power of two) applied
-    /// to both cores. The default covers kernel-sized firmware; fleet
-    /// embedders simulating hundreds of SoCs right-size this down to the
-    /// program actually run — the caches dominate per-instance memory and
-    /// are architecturally invisible.
+    /// to every host core and the RoT core. The default covers kernel-sized
+    /// firmware; fleet embedders simulating hundreds of SoCs right-size
+    /// this down to the program actually run — the caches dominate
+    /// per-instance memory and are architecturally invisible.
     pub decode_cache_slots: usize,
-    /// Block-cache capacity (slots) applied to both cores; see
+    /// Block-cache capacity (slots) applied to every core; see
     /// [`SocConfig::decode_cache_slots`].
     pub block_cache_slots: usize,
 }
@@ -120,16 +127,18 @@ enum RotHealth {
     Trapped(riscv_isa::Trap),
 }
 
-/// Aggregate results of a co-simulated run.
+/// Aggregate results of a co-simulated run. The host fields (`halt`,
+/// `cycles`, `core`, `filter`) are hart 0's, with every hart's in
+/// [`SocReport::harts`]; the transport fields cover all harts.
 #[derive(Debug, Clone)]
 pub struct SocReport {
-    /// Why the host program stopped.
+    /// Why hart 0's program stopped.
     pub halt: Halt,
-    /// Total cycles including CFI stalls.
+    /// Hart 0's cycles including CFI stalls.
     pub cycles: u64,
-    /// Host core counters.
+    /// Hart 0's core counters.
     pub core: cva6_model::CoreStats,
-    /// CFI filter counters (both ports merged).
+    /// Hart 0's CFI filter counters (both ports merged).
     pub filter: titancfi::FilterStats,
     /// Commit logs fully checked by the RoT.
     pub logs_checked: u64,
@@ -155,6 +164,21 @@ pub struct SocReport {
     pub firmware_trap: Option<riscv_isa::Trap>,
     /// Fault-injection ledger, when a fault schedule was configured.
     pub faults: Option<FaultReport>,
+    /// Per-hart host results, indexed by hart.
+    pub harts: Vec<HartReport>,
+}
+
+/// One hart's host results.
+#[derive(Debug, Clone)]
+pub struct HartReport {
+    /// Why the hart's program stopped.
+    pub halt: Halt,
+    /// Cycles including CFI stalls.
+    pub cycles: u64,
+    /// Core counters.
+    pub core: cva6_model::CoreStats,
+    /// CFI filter counters (`emitted` = logs this hart streamed).
+    pub filter: titancfi::FilterStats,
 }
 
 impl SocReport {
@@ -168,11 +192,22 @@ impl SocReport {
     }
 }
 
+/// One host hart: a CVA6 core with its commit-port filters.
+#[derive(Debug)]
+struct Hart {
+    core: Cva6Core<HostBus>,
+    filter: CfiFilter,
+    /// Why the hart stopped; `None` while it runs.
+    halted: Option<Halt>,
+    /// Commit cycle of the hart's last CF log (dual-CF stall rule).
+    last_cf_cycle: Option<u64>,
+}
+
 /// The composed system on chip.
 #[derive(Debug)]
 pub struct SystemOnChip {
-    core: Cva6Core<HostBus>,
-    filter: CfiFilter,
+    /// The host harts; the single-hart accessors read hart 0.
+    harts: Vec<Hart>,
     queue: CfiQueue,
     controller: QueueController,
     writer: LogWriter,
@@ -192,11 +227,12 @@ pub struct SystemOnChip {
     /// Forces a mailbox re-read at the next advance entry (set by the
     /// per-cycle tick path, whose writer/RoT activity bypasses the cache).
     bg_doorbell_stale: bool,
-    last_cf_cycle: Option<u64>,
     violations: Vec<Violation>,
     trapped_violations: usize,
     scmi_service: ScmiWireService,
     observers: Observers,
+    /// Symbols of the booted firmware (the recorder's profiler).
+    fw_symbols: BTreeMap<String, u64>,
     /// `[cfi_begin, cfi_end)` of the booted firmware, for phase attribution.
     cfi_range: (u64, u64),
     /// Whether a firmware `cfi-check` span is currently open.
@@ -209,9 +245,10 @@ pub struct SystemOnChip {
     /// zero for IRQ firmware.
     poll_pc: u64,
     /// When enabled, every commit log pushed into the CFI queue is also
-    /// recorded here — purely observational (no timing effect), used by the
-    /// differential fuzzer to compare commit-log streams byte for byte.
-    log_tap: Option<Vec<titancfi::CommitLog>>,
+    /// recorded here, one stream per hart — purely observational (no timing
+    /// effect), used by the differential fuzzer to compare commit-log
+    /// streams byte for byte.
+    log_tap: Option<Vec<Vec<titancfi::CommitLog>>>,
 }
 
 /// The attached probes.
@@ -252,7 +289,7 @@ fn fw_counter_name(phase: Phase, category: Category) -> &'static str {
 
 impl SystemOnChip {
     /// Builds the SoC, loads `program` into host RAM, boots the RoT
-    /// firmware to its idle point.
+    /// firmware to its idle point — the one-hart [`SystemOnChip::with_harts`].
     ///
     /// # Panics
     ///
@@ -260,39 +297,72 @@ impl SystemOnChip {
     /// boot.
     #[must_use]
     pub fn new(program: &Program, config: SocConfig) -> SystemOnChip {
-        let fw = build_firmware(config.firmware);
+        SystemOnChip::with_harts(&[program], config)
+    }
+
+    /// Builds the SoC with one host hart per program — `programs[i]` in
+    /// hart `i`'s private RAM of `config.mem_size` bytes — sharing one CFI
+    /// queue, Log Writer, mailbox and RoT, and boots the RoT firmware to
+    /// its idle point. More than one hart boots the banked shadow-stack
+    /// firmware, which keeps one bank per hart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `programs` is empty, a program does not fit host RAM, or
+    /// there is no firmware for the hart count and `config.firmware` (more
+    /// than one hart needs [`FirmwareKind::Polling`], and at most two are
+    /// banked).
+    #[must_use]
+    pub fn with_harts(programs: &[&Program], config: SocConfig) -> SystemOnChip {
+        let fw = build_firmware_for_harts(config.firmware, programs.len());
         let profile = match config.firmware {
             FirmwareKind::Optimized => LatencyProfile::optimized(),
             _ => LatencyProfile::baseline(),
         };
         let mut rot = OpenTitan::new(&fw, profile);
-        // Host bus: program RAM plus the host-visible mailbox window,
-        // locked down by PMP exactly as the paper's threat model assumes
-        // (software cannot tamper with in-flight commit logs; only the
-        // hardware Log Writer reaches the mailbox).
-        assert!(
-            program.bytes.len() <= config.mem_size,
-            "program ({} bytes) larger than memory ({})",
-            program.bytes.len(),
-            config.mem_size
-        );
-        let mut bus = HostBus::new(program.base, config.mem_size);
-        bus.load(program.base, &program.bytes);
-        bus.map_mailbox(rot.mailbox.clone());
-        bus.protect_mailbox();
         // The general SCMI system mailbox (host-accessible): version and
         // remote-attestation services, attesting the booted CFI firmware.
         let scmi = ScmiWire::new();
-        bus.map_scmi(scmi.clone());
-        let scmi_service = ScmiWireService::new(scmi, b"titancfi-attestation-key", &fw.bytes);
-        let mut core = Cva6Core::with_bus(bus, program.entry, config.timing);
-        core.hart_mut().set_reg(
-            riscv_isa::Reg::SP,
-            (program.base + config.mem_size as u64 - 16) & !0xf,
-        );
-        // Size the simulator caches before any instruction executes so the
-        // boot itself predecodes into the final-capacity tables.
-        core.resize_caches(config.decode_cache_slots, config.block_cache_slots);
+        let scmi_service =
+            ScmiWireService::new(scmi.clone(), b"titancfi-attestation-key", &fw.bytes);
+        // Cores boot with predecode on; the reference engine decodes raw.
+        let predecode = config.engine == Engine::Fast;
+        let harts = programs
+            .iter()
+            .map(|program| {
+                // Host bus: program RAM plus the host-visible mailbox
+                // window, locked down by PMP exactly as the paper's threat
+                // model assumes (software cannot tamper with in-flight
+                // commit logs; only the hardware Log Writer reaches the
+                // mailbox).
+                assert!(
+                    program.bytes.len() <= config.mem_size,
+                    "program ({} bytes) larger than memory ({})",
+                    program.bytes.len(),
+                    config.mem_size
+                );
+                let mut bus = HostBus::new(program.base, config.mem_size);
+                bus.load(program.base, &program.bytes);
+                bus.map_mailbox(rot.mailbox.clone());
+                bus.protect_mailbox();
+                bus.map_scmi(scmi.clone());
+                let mut core = Cva6Core::with_bus(bus, program.entry, config.timing);
+                core.hart_mut().set_reg(
+                    riscv_isa::Reg::SP,
+                    (program.base + config.mem_size as u64 - 16) & !0xf,
+                );
+                // Size the simulator caches before any instruction executes
+                // so the run predecodes into the final-capacity tables.
+                core.resize_caches(config.decode_cache_slots, config.block_cache_slots);
+                core.set_predecode(predecode);
+                Hart {
+                    core,
+                    filter: CfiFilter::new(),
+                    halted: None,
+                    last_cf_cycle: None,
+                }
+            })
+            .collect();
         rot.core
             .resize_caches(config.decode_cache_slots, config.block_cache_slots);
         // Boot firmware to idle.
@@ -315,9 +385,6 @@ impl SystemOnChip {
                 }
             }
         }
-        // Cores boot with predecode on; the reference engine decodes raw.
-        let predecode = config.engine == Engine::Fast;
-        core.set_predecode(predecode);
         rot.core.set_predecode(predecode);
         let cfi_range = (
             fw.symbol("cfi_begin").expect("cfi_begin symbol"),
@@ -340,8 +407,7 @@ impl SystemOnChip {
         // corruption before the RoT ever sees it.
         rot.mailbox.enable_integrity();
         SystemOnChip {
-            core,
-            filter: CfiFilter::new(),
+            harts,
             queue: CfiQueue::new(config.queue_depth),
             controller: QueueController::new(),
             writer,
@@ -351,11 +417,11 @@ impl SystemOnChip {
             bg_poke: false,
             bg_doorbell: false,
             bg_doorbell_stale: true,
-            last_cf_cycle: None,
             violations: Vec::new(),
             trapped_violations: 0,
             scmi_service,
             observers: Observers::default(),
+            fw_symbols: fw.symbols,
             cfi_range,
             fw_checking: false,
             injector,
@@ -365,28 +431,40 @@ impl SystemOnChip {
         }
     }
 
-    /// Starts capturing every commit log pushed into the CFI queue. The tap
-    /// is a pure observer — it records at the existing push site and does
-    /// not change scheduling, batching legality, or any report field.
+    /// Starts capturing every commit log pushed into the CFI queue, one
+    /// stream per hart. The tap is a pure observer — it records at the
+    /// existing push site and does not change scheduling, batching
+    /// legality, or any report field.
     pub fn enable_log_tap(&mut self) {
-        self.log_tap = Some(Vec::new());
+        self.log_tap = Some(vec![Vec::new(); self.harts.len()]);
     }
 
-    /// Detaches and returns the captured commit-log stream, if a tap was
-    /// enabled.
+    /// Detaches the tap and returns hart 0's captured commit-log stream, if
+    /// a tap was enabled.
     pub fn take_log_tap(&mut self) -> Option<Vec<titancfi::CommitLog>> {
-        self.log_tap.take()
+        self.log_tap.take().map(|mut taps| taps.swap_remove(0))
     }
 
-    /// Drains the logs captured since the last drain, leaving the tap
+    /// Drains hart 0's logs captured since the last drain, leaving the tap
     /// enabled — the incremental form [`SystemOnChip::run_slice`] callers
     /// (fleet devices) use between slices. Returns an empty vector when no
     /// tap is enabled.
     pub fn drain_log_tap(&mut self) -> Vec<titancfi::CommitLog> {
         self.log_tap
             .as_mut()
-            .map(std::mem::take)
+            .map(|taps| std::mem::take(&mut taps[0]))
             .unwrap_or_default()
+    }
+
+    /// Hart `hart`'s commit-log stream captured so far (empty when no tap
+    /// is enabled).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hart` is out of range while a tap is enabled.
+    #[must_use]
+    pub fn hart_log_tap(&self, hart: usize) -> &[titancfi::CommitLog] {
+        self.log_tap.as_ref().map_or(&[], |taps| &taps[hart])
     }
 
     /// Violations flagged so far — readable mid-run between
@@ -396,19 +474,18 @@ impl SystemOnChip {
         self.violations.len()
     }
 
-    /// Current host cycle — readable mid-run between
+    /// Current cycle of hart 0 — readable mid-run between
     /// [`SystemOnChip::run_slice`] calls, before a report exists.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.core.cycle()
+        self.harts[0].core.cycle()
     }
 
     /// Attaches a full [`Recorder`] (metrics + timeline + firmware
     /// profiler); subsequent [`SystemOnChip::run`] cycles are instrumented.
     /// Without this call the simulation takes the uninstrumented path.
     pub fn attach_recorder(&mut self) {
-        let fw = build_firmware(self.config.firmware);
-        let mut recorder = Recorder::new().with_profiler(&fw.symbols);
+        let mut recorder = Recorder::new().with_profiler(&self.fw_symbols);
         recorder
             .metrics
             .declare_histogram("queue.occupancy", Histogram::occupancy());
@@ -589,9 +666,10 @@ impl SystemOnChip {
         } else if self.bg_cycle >= until {
             return;
         }
-        // The host core is frozen for the whole advance, so a pending SCMI
-        // request is served once up front — when the first per-tick poll
-        // would have run it. (SCMI and the CFI transport never interact.)
+        // The host harts are frozen for the whole advance, so a pending
+        // SCMI request is served once up front — when the first per-tick
+        // poll would have run it. (SCMI and the CFI transport never
+        // interact.)
         self.scmi_service.poll();
         // The doorbell level is cached across skipped ticks *and* across
         // advance calls (one mailbox lock per transition instead of per
@@ -730,40 +808,58 @@ impl SystemOnChip {
         }
     }
 
-    /// One host superblock, with the skipped straight-line retirements
-    /// accounted to the filter (the hardware scans every retirement).
-    fn host_block(&mut self, until: u64) -> Result<cva6_model::Commit, Halt> {
-        let bs = self.core.step_block(until);
+    /// One superblock on hart `i`, with the skipped straight-line
+    /// retirements accounted to its filter (the hardware scans every
+    /// retirement).
+    fn host_block(&mut self, i: usize, until: u64) -> Result<cva6_model::Commit, Halt> {
+        let bs = self.harts[i].core.step_block(until);
         if bs.straightline > 0 {
-            self.filter.note_straightline(bs.straightline);
+            self.harts[i].filter.note_straightline(bs.straightline);
             if bs.result.is_err() {
                 // The failing op retired nothing, but the straight-line ops
                 // before it did: bring the background up to the last
                 // retirement, exactly where per-op stepping would have left
                 // it at the halt.
-                self.advance_background_fast(self.core.cycle(), false);
+                self.advance_background_fast(self.harts[i].core.cycle(), false);
             }
         }
         bs.result
     }
 
-    /// One fast-engine batch: superblocks up to the next CFI-relevant
-    /// commit, host device access, or `bound`, then a single event-driven
+    /// The cycle at which the scheduler stops picking hart `i`: the live
+    /// hart with the fewest cycles runs next, ties to the lowest index, so
+    /// `i` yields once it reaches a lower-indexed sibling's cycle or passes
+    /// a higher-indexed one's. `u64::MAX` on a single hart.
+    fn sibling_bound(&self, i: usize) -> u64 {
+        self.harts
+            .iter()
+            .enumerate()
+            .filter(|&(j, h)| j != i && h.halted.is_none())
+            .map(|(j, h)| h.core.cycle() + u64::from(j > i))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// One fast-engine batch on hart `i`: superblocks up to the next
+    /// CFI-relevant commit, host device access, `bound`, or the point where
+    /// the scheduler would switch harts, then a single event-driven
     /// background catch-up to the last commit. The host and the background
     /// only interact at queue pushes (CFI-relevant commits) and
-    /// device-window accesses, and superblocks end at both, so deferring
-    /// the catch-up to the batch boundary composes to the same state as
-    /// advancing after every commit.
-    fn run_batch(&mut self, bound: u64) -> Result<cva6_model::Commit, Halt> {
-        let mut commit = self.host_block(bound)?;
+    /// device-window accesses, the siblings are frozen while hart `i` runs,
+    /// and superblocks end at all of these, so deferring the catch-up to
+    /// the batch boundary composes to the same state as advancing after
+    /// every commit.
+    fn run_batch(&mut self, i: usize, bound: u64) -> Result<cva6_model::Commit, Halt> {
+        let bound = bound.min(self.sibling_bound(i));
+        let mut commit = self.host_block(i, bound)?;
         while !(commit.cf_class.is_cfi_relevant()
-            || self.core.bus_mut().take_io_access()
-            || self.core.cycle() >= bound)
+            || self.harts[i].core.bus_mut().take_io_access()
+            || self.harts[i].core.cycle() >= bound)
         {
             // The filter hardware scans every retirement; account the
             // skipped straight-line ones.
-            self.filter.note_straightline(1);
-            match self.host_block(bound) {
+            self.harts[i].filter.note_straightline(1);
+            match self.host_block(i, bound) {
                 Ok(c) => commit = c,
                 Err(halt) => {
                     // The halting instruction retired nothing; the last
@@ -828,7 +924,7 @@ impl SystemOnChip {
         }
     }
 
-    /// Runs the host program to completion (or `max_cycles`), co-simulating
+    /// Runs the host programs to completion (or `max_cycles`), co-simulating
     /// the CFI pipeline.
     #[must_use]
     pub fn run(&mut self, max_cycles: u64) -> SocReport {
@@ -836,8 +932,24 @@ impl SystemOnChip {
         self.finish(halt)
     }
 
-    /// Advances the co-simulation until the host core reaches `until_cycle`
-    /// (absolute) or halts for a real reason. Returns `None` at the cycle
+    /// The live hart with the fewest cycles (ties to the lowest index): the
+    /// one the interleaving scheduler steps next.
+    fn next_hart(&self) -> Option<usize> {
+        (0..self.harts.len())
+            .filter(|&i| self.harts[i].halted.is_none())
+            .min_by_key(|&i| self.harts[i].core.cycle())
+    }
+
+    /// Stops every live hart with `halt`.
+    fn halt_live(&mut self, halt: Halt) {
+        for h in &mut self.harts {
+            h.halted.get_or_insert(halt);
+        }
+    }
+
+    /// Advances the co-simulation until every live hart reaches
+    /// `until_cycle` (absolute) or every hart halts for a real reason, and
+    /// returns hart 0's halt in that case. Returns `None` at the cycle
     /// limit with all state intact — calling again with a later limit
     /// resumes exactly where this slice paused, which is how a fleet device
     /// runs thousands of cheap, pausable SoC snapshots on one scheduler.
@@ -854,116 +966,136 @@ impl SystemOnChip {
             && self.observers.recorder.is_none()
             && !self.config.halt_on_violation
             && !self.config.trap_host_on_violation;
-        let halt = loop {
-            if self.core.cycle() >= until_cycle {
+        loop {
+            let Some(i) = self.next_hart() else {
+                return self.harts[0].halted;
+            };
+            if self.harts[i].core.cycle() >= until_cycle {
                 return None;
             }
             if let Some(t) = self.firmware_trap() {
                 if self.config.resilience.policy == FailPolicy::FailClosed {
-                    // Fail closed: a dead checker means an unchecked host;
-                    // stop the run and surface the trap structurally.
-                    break Halt::FirmwareTrap(t);
+                    // Fail closed: a dead checker means unchecked hosts;
+                    // stop every live hart and surface the trap
+                    // structurally.
+                    self.halt_live(Halt::FirmwareTrap(t));
+                    continue;
                 }
             }
             if self.config.halt_on_violation && !self.violations.is_empty() {
-                break Halt::Breakpoint;
+                self.halt_live(Halt::Breakpoint);
+                continue;
             }
             let stepped = if block {
-                self.run_batch(until_cycle.min(self.trap_horizon()))
+                self.run_batch(i, until_cycle.min(self.trap_horizon()))
             } else {
-                self.core
+                self.harts[i]
+                    .core
                     .step()
                     .inspect(|c| self.advance_background(c.cycle))
             };
             let commit = match stepped {
                 Ok(commit) => commit,
-                Err(halt) => break halt,
+                Err(halt) => {
+                    self.harts[i].halted = Some(halt);
+                    continue;
+                }
             };
             // Deliver any violation the background machinery found while
-            // this instruction was in flight.
+            // this instruction was in flight, to the hart that committed
+            // the offending log.
             if self.config.trap_host_on_violation && self.violations.len() > self.trapped_violations
             {
                 let v = self.violations[self.trapped_violations];
                 self.trapped_violations = self.violations.len();
-                self.core
+                self.harts[usize::from(v.hart)]
+                    .core
                     .inject_exception(CFI_VIOLATION_CAUSE, v.log.target);
             }
-            let Some(log) = self
-                .filter
-                .scan_classified(&commit.retired, commit.cf_class)
-            else {
-                continue;
-            };
-            if let Some(tap) = self.log_tap.as_mut() {
-                tap.push(log);
+            self.enqueue_log(i, &commit, block);
+        }
+    }
+
+    /// Pushes the CFI log of hart `i`'s `commit`, if the filters emit one,
+    /// stalling the hart's commit stage as the Queue Controller demands.
+    fn enqueue_log(&mut self, i: usize, commit: &cva6_model::Commit, block: bool) {
+        let hart = &mut self.harts[i];
+        let Some(log) = hart
+            .filter
+            .scan_classified(&commit.retired, commit.cf_class)
+        else {
+            return;
+        };
+        if let Some(taps) = self.log_tap.as_mut() {
+            taps[i].push(log);
+        }
+        // Dual-CF conflict: two CF logs in the same commit cycle of one
+        // hart cannot both be pushed (paper §IV-B2). Across harts the queue
+        // order is the order the scheduler steps them; no stall.
+        if hart.last_cf_cycle == Some(commit.cycle) {
+            self.controller.stalls_dual_cf += 1;
+            hart.core.stall(1);
+            if let Some(rec) = self.observers.recorder.as_mut() {
+                rec.metrics.add("stall.dual_cf", 1);
+                rec.timeline
+                    .instant(Track::HostCommit, "stall.dual_cf", self.bg_cycle);
             }
-            // Dual-CF conflict: two CF logs in the same commit cycle cannot
-            // both be pushed (paper §IV-B2).
-            if self.last_cf_cycle == Some(commit.cycle) {
-                self.controller.stalls_dual_cf += 1;
-                self.core.stall(1);
-                if let Some(rec) = self.observers.recorder.as_mut() {
-                    rec.metrics.add("stall.dual_cf", 1);
-                    rec.timeline
-                        .instant(Track::HostCommit, "stall.dual_cf", self.bg_cycle);
-                }
+        }
+        hart.last_cf_cycle = Some(commit.cycle);
+        // Queue full: stall the commit stage until the Log Writer frees a
+        // slot.
+        if block && self.queue.is_full() {
+            // Event-driven form of the wait below (the recorder, which
+            // samples every stalled cycle, forces per-commit stepping); the
+            // stall total is the same ticks the per-cycle loop would have
+            // burned, skipped ones included.
+            let before = self.bg_cycle;
+            self.advance_background_fast(0, true);
+            let waited = self.bg_cycle - before;
+            self.controller.stalls_queue_full += waited;
+            self.harts[i].core.stall(waited);
+        } else if self.queue.is_full() {
+            if let Some(rec) = self.observers.recorder.as_mut() {
+                rec.timeline
+                    .span_begin(Track::HostCommit, "stall.queue_full", self.bg_cycle);
             }
-            self.last_cf_cycle = Some(commit.cycle);
-            // Queue full: stall the commit stage until the Log Writer frees
-            // a slot.
-            if block && self.queue.is_full() {
-                // Event-driven form of the wait below (the recorder, which
-                // samples every stalled cycle, forces per-commit stepping);
-                // the stall total is the same ticks the per-cycle loop would
-                // have burned, skipped ones included.
+            while self.queue.is_full() {
+                // Sub-attribute the stalled cycle by what the pipeline is
+                // waiting on: the Log Writer's AXI beats, or the RoT still
+                // checking.
+                let axi_busy = matches!(self.writer.state(), WriterState::Writing { .. });
                 let before = self.bg_cycle;
-                self.advance_background_fast(0, true);
+                self.tick_once();
                 let waited = self.bg_cycle - before;
                 self.controller.stalls_queue_full += waited;
-                self.core.stall(waited);
-            } else if self.queue.is_full() {
+                self.harts[i].core.stall(waited);
                 if let Some(rec) = self.observers.recorder.as_mut() {
-                    rec.timeline
-                        .span_begin(Track::HostCommit, "stall.queue_full", self.bg_cycle);
-                }
-                while self.queue.is_full() {
-                    // Sub-attribute the stalled cycle by what the pipeline
-                    // is waiting on: the Log Writer's AXI beats, or the RoT
-                    // still checking.
-                    let axi_busy = matches!(self.writer.state(), WriterState::Writing { .. });
-                    let before = self.bg_cycle;
-                    self.tick_once();
-                    let waited = self.bg_cycle - before;
-                    self.controller.stalls_queue_full += waited;
-                    self.core.stall(waited);
-                    if let Some(rec) = self.observers.recorder.as_mut() {
-                        rec.metrics.add("stall.queue_full", waited);
-                        rec.metrics.add(
-                            if axi_busy {
-                                "stall.axi_busy"
-                            } else {
-                                "stall.fw_wait"
-                            },
-                            waited,
-                        );
-                    }
-                }
-                if let Some(rec) = self.observers.recorder.as_mut() {
-                    rec.timeline.span_end(Track::HostCommit, self.bg_cycle);
+                    rec.metrics.add("stall.queue_full", waited);
+                    rec.metrics.add(
+                        if axi_busy {
+                            "stall.axi_busy"
+                        } else {
+                            "stall.fw_wait"
+                        },
+                        waited,
+                    );
                 }
             }
-            let pushed = self
-                .queue
-                .push_probed(log, self.bg_cycle, self.observers.probe());
-            debug_assert!(pushed, "push after full-wait must succeed");
-        };
-        Some(halt)
+            if let Some(rec) = self.observers.recorder.as_mut() {
+                rec.timeline.span_end(Track::HostCommit, self.bg_cycle);
+            }
+        }
+        let pushed = self
+            .queue
+            .push_probed(i as u8, log, self.bg_cycle, self.observers.probe());
+        debug_assert!(pushed, "push after full-wait must succeed");
     }
 
     /// Drains in-flight transport work and assembles the final report for a
-    /// run that stopped with `halt` — the second half of [`SystemOnChip::run`],
-    /// exposed so sliced runs ([`SystemOnChip::run_slice`]) can settle the
-    /// transport exactly once at teardown.
+    /// run that stopped — the second half of [`SystemOnChip::run`], exposed
+    /// so sliced runs ([`SystemOnChip::run_slice`]) can settle the
+    /// transport exactly once at teardown. `halt` is recorded for every
+    /// hart still live ([`Halt::Budget`] for a run cut at its cycle limit).
     pub fn finish(&mut self, halt: Halt) -> SocReport {
         // Drain in-flight checks so counters are final. With a trapped RoT
         // under fail-closed there is nothing left to drain (the writer can
@@ -986,12 +1118,22 @@ impl SystemOnChip {
             }
             self.fw_checking = false;
         }
-
+        let harts: Vec<HartReport> = self
+            .harts
+            .iter()
+            .map(|h| HartReport {
+                halt: h.halted.unwrap_or(halt),
+                cycles: h.core.cycle(),
+                core: h.core.stats(),
+                filter: h.filter.stats(),
+            })
+            .collect();
+        let hart0 = harts[0].clone();
         SocReport {
-            halt,
-            cycles: self.core.cycle(),
-            core: self.core.stats(),
-            filter: self.filter.stats(),
+            halt: hart0.halt,
+            cycles: hart0.cycles,
+            core: hart0.core,
+            filter: hart0.filter,
             logs_checked: self.writer.logs_written,
             violations: self.violations.clone(),
             queue_high_water: self.queue.max_occupancy,
@@ -1003,13 +1145,24 @@ impl SystemOnChip {
             forced_violations: self.writer.forced_violations,
             firmware_trap: self.firmware_trap(),
             faults: self.injector.as_ref().map(FaultInjector::report),
+            harts,
         }
     }
 
-    /// Host register read-back (for checking program results).
+    /// Hart 0's register read-back (for checking program results).
     #[must_use]
     pub fn host_reg(&self, r: riscv_isa::Reg) -> u64 {
-        self.core.reg(r)
+        self.hart_reg(0, r)
+    }
+
+    /// Register read-back on hart `hart`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hart` is out of range.
+    #[must_use]
+    pub fn hart_reg(&self, hart: usize, r: riscv_isa::Reg) -> u64 {
+        self.harts[hart].core.reg(r)
     }
 
     /// The active configuration.
@@ -1018,16 +1171,16 @@ impl SystemOnChip {
         &self.config
     }
 
-    /// Number of host accesses blocked by the mailbox PMP guard (tamper
+    /// Number of hart 0's accesses blocked by the mailbox PMP guard (tamper
     /// attempts from software).
     #[must_use]
     pub fn pmp_denials(&mut self) -> u64 {
-        self.core.bus_mut().pmp_denials
+        self.harts[0].core.bus_mut().pmp_denials
     }
 
-    /// Direct access to the host bus (verifier-side readback in tests).
+    /// Direct access to hart 0's host bus (verifier-side readback in tests).
     pub fn host_bus_mut(&mut self) -> &mut HostBus {
-        self.core.bus_mut()
+        self.harts[0].core.bus_mut()
     }
 }
 
@@ -1065,7 +1218,33 @@ mod tests {
         }
         let report = soc.run(50_000_000);
         assert_eq!(report.halt, Halt::Breakpoint);
-        (soc.core.block_cache_stats().hits, report)
+        (soc.harts[0].core.block_cache_stats().hits, report)
+    }
+
+    #[test]
+    fn two_harts_share_one_clean_transport() {
+        let [fib, towers] =
+            ["fib", "towers"].map(|n| Kernel::by_name(n).expect("kernel").program().expect("ok"));
+        let config = SocConfig {
+            mem_size: KERNEL_MEM,
+            ..SocConfig::default()
+        };
+        let mut soc = SystemOnChip::with_harts(&[&fib, &towers], config);
+        soc.enable_log_tap();
+        let report = soc.run(50_000_000);
+        assert!(report.harts.iter().all(|h| h.halt == Halt::Breakpoint));
+        // Every ring passed the word-7 integrity check, and the one
+        // writer's sequence numbers ran gap-free across both harts.
+        let mailbox = &soc.rot.mailbox;
+        assert_eq!(mailbox.integrity_rejects(), 0);
+        assert_eq!(mailbox.seq_gaps(), 0);
+        assert_eq!(mailbox.seq_duplicates(), 0);
+        assert_eq!(mailbox.doorbells_rung(), report.logs_checked);
+        // The tap splits the stream by hart.
+        for (i, hart) in report.harts.iter().enumerate() {
+            assert!(hart.filter.emitted > 0);
+            assert_eq!(soc.hart_log_tap(i).len() as u64, hart.filter.emitted);
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Multi-core TitanCFI demo: two host cores, one RoT (paper §VII future
-//! work). Core 0 runs a clean recursive workload; core 1 gets hijacked.
-//! The shared RoT checks both commit-log streams against per-core shadow
-//! stack banks and attributes the violation to the right core.
+//! Multi-core TitanCFI demo: two host harts, one RoT (paper §VII future
+//! work). Hart 0 runs a clean recursive workload; hart 1 gets hijacked.
+//! The shared RoT checks both commit-log streams against per-hart shadow
+//! stack banks and attributes the violation to the right hart.
 //!
 //! Run with: `cargo run --example multicore`
 
 use riscv_asm::assemble;
 use riscv_isa::{Reg, Xlen};
-use titancfi_soc::DualHostSoc;
+use titancfi_soc::{SocConfig, SystemOnChip};
 
 const CLEAN: &str = r"
 _start:
@@ -55,28 +55,28 @@ gadget:
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clean = assemble(CLEAN, Xlen::Rv64, 0x8000_0000)?;
     let victim = assemble(VICTIM, Xlen::Rv64, 0x8000_0000)?;
-    let mut soc = DualHostSoc::new([&clean, &victim], 1 << 20, 8);
+    let mut soc = SystemOnChip::with_harts(&[&clean, &victim], SocConfig::default());
     let report = soc.run(100_000_000);
 
-    println!("Multi-core TitanCFI (2 CVA6 cores, 1 OpenTitan)");
+    println!("Multi-core TitanCFI (2 CVA6 harts, 1 OpenTitan)");
     println!("===============================================");
-    for (i, core) in report.cores.iter().enumerate() {
+    for (i, hart) in report.harts.iter().enumerate() {
         println!(
-            "core {i}: halt {:?}, {} cycles, {} control-flow logs streamed",
-            core.halt, core.cycles, core.cf_streamed
+            "hart {i}: halt {:?}, {} cycles, {} control-flow logs streamed",
+            hart.halt, hart.cycles, hart.filter.emitted
         );
     }
     println!("logs checked by the RoT: {}", report.logs_checked);
-    println!("fib(12) on core 0:       {}", soc.host_reg(0, Reg::A0));
+    println!("fib(12) on hart 0:       {}", soc.hart_reg(0, Reg::A0));
     println!("violations:");
     for v in &report.violations {
         println!(
-            "  core {} at pc {:#x}: ret to {:#x} (detected at RoT cycle {})",
-            v.core, v.log.pc, v.log.target, v.cycle
+            "  hart {} at pc {:#x}: ret to {:#x} (detected at RoT cycle {})",
+            v.hart, v.log.pc, v.log.target, v.cycle
         );
     }
-    assert_eq!(soc.host_reg(0, Reg::A0), 144);
-    assert!(report.violations.iter().all(|v| v.core == 1));
-    println!("\ncore 0 computed fib(12) = 144 undisturbed; core 1's hijack was caught.");
+    assert_eq!(soc.hart_reg(0, Reg::A0), 144);
+    assert!(report.violations.iter().all(|v| v.hart == 1));
+    println!("\nhart 0 computed fib(12) = 144 undisturbed; hart 1's hijack was caught.");
     Ok(())
 }

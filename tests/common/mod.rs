@@ -51,9 +51,19 @@ pub fn kernel_program(name: &str) -> riscv_asm::Program {
 /// No termination assertion — fault-injection tests inspect the halt cause
 /// themselves.
 pub fn run_kernel(name: &str, config: SocConfig) -> SocReport {
-    let prog = kernel_program(name);
-    let mut soc = SystemOnChip::new(&prog, config);
-    soc.run(RUN_BUDGET)
+    run_kernels(&[name], config)
+}
+
+/// The SoC with one hart per named kernel, `names[i]` on hart `i`.
+pub fn soc_with_kernels(names: &[&str], config: SocConfig) -> SystemOnChip {
+    let progs: Vec<riscv_asm::Program> = names.iter().map(|n| kernel_program(n)).collect();
+    let progs: Vec<&riscv_asm::Program> = progs.iter().collect();
+    SystemOnChip::with_harts(&progs, config)
+}
+
+/// Like [`run_kernel`], with one hart per named kernel.
+pub fn run_kernels(names: &[&str], config: SocConfig) -> SocReport {
+    soc_with_kernels(names, config).run(RUN_BUDGET)
 }
 
 /// Runs a named kernel under CFI, asserts it terminates via `ebreak`, and

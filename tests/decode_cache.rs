@@ -13,7 +13,7 @@ use opentitan_model::Flash;
 use riscv_asm::assemble;
 use riscv_isa::{Reg, Xlen};
 use titancfi::firmware::{FirmwareKind, FirmwareRunner};
-use titancfi_soc::{DualHostSoc, Engine, SocConfig, SystemOnChip};
+use titancfi_soc::{Engine, SocConfig, SystemOnChip};
 use titancfi_workloads::kernels::{all_kernels, KERNEL_MEM};
 
 /// A program that patches one of its own instructions: the first call of
@@ -385,8 +385,12 @@ fn multicore_report_identical_reference_vs_fast() {
     let (a, b) = (a.program().expect("a"), b.program().expect("b"));
     let mut fingerprints = Vec::new();
     for engine in Engine::ALL {
-        let mut soc = DualHostSoc::new([&a, &b], KERNEL_MEM, 8);
-        soc.set_engine(engine);
+        let config = SocConfig {
+            mem_size: KERNEL_MEM,
+            engine,
+            ..SocConfig::default()
+        };
+        let mut soc = SystemOnChip::with_harts(&[&a, &b], config);
         let report = soc.run(500_000_000);
         fingerprints.push(format!("{report:?}"));
     }

@@ -18,7 +18,9 @@
 
 mod common;
 
-use common::{kernel_config, kernel_program, report_fingerprint as fingerprint, run_kernel};
+use common::{
+    kernel_config, kernel_program, report_fingerprint as fingerprint, run_kernel, run_kernels,
+};
 use cva6_model::Halt;
 use titancfi::{FailPolicy, ResilienceConfig};
 use titancfi_faults::{FaultClass, FaultConfig};
@@ -180,6 +182,28 @@ fn firmware_trap_fails_closed_with_structured_halt() {
     assert_eq!(traps.detected, 1);
     assert_eq!(traps.escalated, 1);
     assert!(ledger.all_resolved());
+}
+
+#[test]
+fn firmware_trap_fails_closed_on_every_live_hart() {
+    // One RoT checks both harts: once it traps, neither hart's control
+    // flow can be checked any more, so both stop.
+    let report = run_kernels(
+        &["fib", "towers"],
+        SocConfig {
+            resilience: tight_resilience(FailPolicy::FailClosed),
+            faults: Some(FaultConfig::only(FaultClass::FirmwareTrap, 1, 2)),
+            ..kernel_config()
+        },
+    );
+    let trap = report.firmware_trap.expect("the trap is reported");
+    assert_eq!(trap, riscv_isa::Trap::IllegalInstruction(0xdead_c0de));
+    assert_eq!(report.harts.len(), 2);
+    for (i, hart) in report.harts.iter().enumerate() {
+        assert_eq!(hart.halt, Halt::FirmwareTrap(trap), "hart {i}");
+    }
+    assert_eq!(report.halt, Halt::FirmwareTrap(trap));
+    assert!(report.faults.expect("ledger present").all_resolved());
 }
 
 #[test]
@@ -365,25 +389,29 @@ fn faulted_reports_identical_across_engines() {
         backoff: 16,
         policy,
     };
-    for (class, one_in) in rates {
-        for seed in [11u64, 12] {
-            for policy in [FailPolicy::FailClosed, FailPolicy::FailOpen] {
-                let [reference, fast] = Engine::ALL.map(|engine| {
-                    let report = run_kernel(
-                        "fib",
-                        SocConfig {
-                            resilience: resilience(policy),
-                            faults: Some(FaultConfig::only(class, one_in, seed)),
-                            engine,
-                            ..kernel_config()
-                        },
+    // One hart, and two harts sharing the transport.
+    let inputs: [&[&str]; 2] = [&["fib"], &["fib", "towers"]];
+    for names in inputs {
+        for (class, one_in) in rates {
+            for seed in [11u64, 12] {
+                for policy in [FailPolicy::FailClosed, FailPolicy::FailOpen] {
+                    let [reference, fast] = Engine::ALL.map(|engine| {
+                        let report = run_kernels(
+                            names,
+                            SocConfig {
+                                resilience: resilience(policy),
+                                faults: Some(FaultConfig::only(class, one_in, seed)),
+                                engine,
+                                ..kernel_config()
+                            },
+                        );
+                        format!("{report:?}")
+                    });
+                    assert_eq!(
+                        reference, fast,
+                        "{names:?} {class} seed {seed} {policy:?}: the engines disagree"
                     );
-                    format!("{report:?}")
-                });
-                assert_eq!(
-                    reference, fast,
-                    "{class} seed {seed} {policy:?}: the engines disagree"
-                );
+                }
             }
         }
     }
