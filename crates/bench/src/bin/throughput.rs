@@ -7,12 +7,13 @@
 //!     --smoke --out BENCH_throughput.json --baseline BENCH_throughput.json
 //! ```
 //!
-//! Every scenario runs twice — reference engine, then fast engine (bare-core
-//! scenarios: raw decode, then predecode) — and the two runs must produce
-//! byte-identical result fingerprints (halt reason, cycle counts, filter
-//! statistics, violations, and latency spans where a collector rides
-//! along). A mismatch is a correctness bug and exits nonzero. The JSON report records per-scenario speedup, which
-//! is machine-portable; `--baseline` compares against a previous report and
+//! Every scenario runs on the reference engine and the fast engine (bare-core
+//! scenarios: raw decode and predecode) in alternating timed laps, and the
+//! two engines must produce byte-identical result fingerprints (halt
+//! reason, cycle counts, filter statistics, violations, and latency spans
+//! where a collector rides along). A mismatch is a correctness bug and
+//! exits nonzero. The JSON report records per-scenario speedup, which is
+//! machine-portable; `--baseline` compares against a previous report and
 //! fails if any scenario's speedup regressed by more than 20 %.
 
 use std::process::ExitCode;
@@ -196,26 +197,29 @@ fn measure(scenario: &'static str, min_wall: f64, run: impl Fn(Engine) -> RunOut
     // simulation accumulate and report the *fastest* lap. The minimum is
     // the uncontended cost: a preemption spike inflates the laps it hits,
     // which a mean dutifully averages in, while the min shrugs it off.
-    // Every repetition must reproduce the first run's fingerprint exactly.
-    let timed = |setting: Engine| {
-        let first = run(setting);
-        let mut wall = first.wall_secs;
-        let mut best = first.wall_secs;
-        let mut laps = 1u32;
-        while wall < min_wall && laps < 1000 {
-            let r = run(setting);
+    // Reference and fast laps alternate until both engines reach
+    // `min_wall`, so slow host drift (clock scaling, co-tenants) lands on
+    // both sides of the ratio instead of on whichever engine ran second.
+    // Every repetition must reproduce its engine's first fingerprint.
+    let engines = [Engine::Reference, Engine::Fast];
+    let firsts = engines.map(&run);
+    let mut wall = firsts.each_ref().map(|r| r.wall_secs);
+    let mut best = wall;
+    let mut laps = 1u32;
+    while wall.iter().any(|&w| w < min_wall) && laps < 1000 {
+        for (i, engine) in engines.into_iter().enumerate() {
+            let r = run(engine);
             assert_eq!(
-                r.fingerprint, first.fingerprint,
+                r.fingerprint, firsts[i].fingerprint,
                 "`{scenario}` is nondeterministic across repetitions"
             );
-            wall += r.wall_secs;
-            best = best.min(r.wall_secs);
-            laps += 1;
+            wall[i] += r.wall_secs;
+            best[i] = best[i].min(r.wall_secs);
         }
-        (first, best)
-    };
-    let (slow, wall_slow) = timed(Engine::Reference);
-    let (fast, wall_fast) = timed(Engine::Fast);
+        laps += 1;
+    }
+    let [slow, fast] = firsts;
+    let [wall_slow, wall_fast] = best;
     let matches = slow.fingerprint == fast.fingerprint
         && slow.sim_cycles == fast.sim_cycles
         && slow.instret == fast.instret;

@@ -18,6 +18,8 @@
 //! `native_suite_text` paths and the parallel [`campaign`] jobs call the
 //! same fragments, so their outputs are byte-identical by construction.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod fault_campaign;
 

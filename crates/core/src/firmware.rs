@@ -692,10 +692,11 @@ impl FirmwareRunner {
     /// Panics if the firmware traps or exceeds a huge cycle budget.
     pub fn check(&mut self, log: &CommitLog) -> CheckMeasurement {
         // Host side: write the log words and ring the doorbell.
+        let mailbox = self.rot.mailbox_mut();
         for (i, w) in log.to_words().iter().enumerate() {
-            self.rot.mailbox.host_write_data(i, *w);
+            mailbox.host_write_data(i, *w);
         }
-        self.rot.mailbox.host_ring_doorbell();
+        mailbox.host_ring_doorbell();
         let start = self.rot.core.cycle();
         let mut breakdown = Breakdown::new();
         let mut costed = 0u64;
@@ -713,7 +714,7 @@ impl FirmwareRunner {
                     };
                     breakdown.record(phase, Category::from_access(c.mem_kind), c.cost);
                     costed += c.cost;
-                    if !completion_seen && self.rot.mailbox.host_completion() {
+                    if !completion_seen && self.rot.mailbox().host_completion() {
                         completion_seen = true;
                     }
                     // Ready for next log?
@@ -742,8 +743,9 @@ impl FirmwareRunner {
         // Un-instrumented cycles (the IRQ wake latency) belong to IRQ/Logic.
         breakdown.add_cycles(Phase::Irq, Category::Logic, latency - costed);
 
-        let verdict = self.rot.mailbox.host_read_data(0);
-        self.rot.mailbox.host_clear_completion();
+        let mailbox = self.rot.mailbox_mut();
+        let verdict = mailbox.host_read_data(0);
+        mailbox.host_clear_completion();
         self.checks += 1;
         let violation = verdict != 0;
         if violation {

@@ -38,6 +38,8 @@
 //! assert!(rot.check(&ret).violation);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accounting;
 pub mod commit_log;
 pub mod filter;

@@ -142,11 +142,12 @@ pub struct Violation {
 }
 
 /// The Log Writer FSM.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LogWriter {
     state: WriterState,
     timing: AxiTiming,
     resilience: ResilienceConfig,
+    /// The fault schedule's one owner, when one is attached.
     injector: Option<FaultInjector>,
     current: Option<CommitLog>,
     /// Hart of the in-flight log: the AXI source id of its doorbell ring.
@@ -224,6 +225,18 @@ impl LogWriter {
         self.injector = Some(injector);
     }
 
+    /// The attached fault injector (its ledger), if any.
+    #[must_use]
+    pub fn injector(&self) -> Option<&FaultInjector> {
+        self.injector.as_ref()
+    }
+
+    /// Mutable access to the attached fault injector — for injection
+    /// sites outside the writer (the RoT's check entry) and their feedback.
+    pub fn injector_mut(&mut self) -> Option<&mut FaultInjector> {
+        self.injector.as_mut()
+    }
+
     /// The writer's resilience parameters.
     #[must_use]
     pub fn resilience(&self) -> ResilienceConfig {
@@ -283,7 +296,7 @@ impl LogWriter {
         &mut self,
         now: u64,
         queue: &mut CfiQueue,
-        mailbox: &CfiMailbox,
+        mailbox: &mut CfiMailbox,
     ) -> Option<Violation> {
         self.tick_probed(now, queue, mailbox, &mut NoProbe)
     }
@@ -296,7 +309,7 @@ impl LogWriter {
         &mut self,
         now: u64,
         queue: &mut CfiQueue,
-        mailbox: &CfiMailbox,
+        mailbox: &mut CfiMailbox,
         probe: &mut dyn Probe,
     ) -> Option<Violation> {
         match self.state {
@@ -325,7 +338,7 @@ impl LogWriter {
                     self.axi_beat_errors += 1;
                     probe.counter_add("writer.axi_beat_errors", 1);
                     probe.instant(Track::LogWriter, "axi-beat-error", now);
-                    if let Some(inj) = &self.injector {
+                    if let Some(inj) = &mut self.injector {
                         inj.note_detected(FaultClass::AxiBeatError);
                     }
                     self.beat_replays += 1;
@@ -393,7 +406,7 @@ impl LogWriter {
                         self.ring_accepted = false;
                     }
                     self.pending_ring_at = None;
-                    if let Some(inj) = &self.injector {
+                    if let Some(inj) = &mut self.injector {
                         inj.note_watchdog();
                     }
                     return self.retry_or_escalate(now, mailbox, probe);
@@ -424,7 +437,7 @@ impl LogWriter {
                 probe.log_verdict(now, verdict != 0);
                 probe.counter_add("writer.logs_checked", 1);
                 probe.span_end(Track::LogWriter, now);
-                if let Some(inj) = &self.injector {
+                if let Some(inj) = &mut self.injector {
                     // Whatever faults hit this log were absorbed.
                     inj.note_completed();
                 }
@@ -447,7 +460,7 @@ impl LogWriter {
     fn schedule_beat(&mut self, beat: usize, now: u64, probe: &mut dyn Probe) {
         let mut done_at = now + self.timing.write_beat;
         self.pending_beat_fault = BeatFault::None;
-        if let Some(inj) = &self.injector {
+        if let Some(inj) = &mut self.injector {
             match inj.beat_fault(beat) {
                 BeatFault::ExtraLatency(extra) => {
                     done_at += extra;
@@ -461,10 +474,15 @@ impl LogWriter {
     }
 
     /// Final-beat doorbell ring, subject to drop/delay faults.
-    fn ring(&mut self, now: u64, mailbox: &CfiMailbox, probe: &mut dyn Probe) -> Option<Violation> {
+    fn ring(
+        &mut self,
+        now: u64,
+        mailbox: &mut CfiMailbox,
+        probe: &mut dyn Probe,
+    ) -> Option<Violation> {
         let fault = self
             .injector
-            .as_ref()
+            .as_mut()
             .map_or(RingFault::None, FaultInjector::ring_fault);
         match fault {
             RingFault::Drop => {
@@ -489,7 +507,7 @@ impl LogWriter {
     fn ring_now(
         &mut self,
         now: u64,
-        mailbox: &CfiMailbox,
+        mailbox: &mut CfiMailbox,
         probe: &mut dyn Probe,
     ) -> Option<Violation> {
         if mailbox.host_ring_doorbell_verified_probed(self.seq, self.hart, now, probe) {
@@ -504,7 +522,7 @@ impl LogWriter {
             self.integrity_rejects += 1;
             probe.counter_add("writer.integrity_rejects", 1);
             probe.instant(Track::LogWriter, "integrity-reject", now);
-            if let Some(inj) = &self.injector {
+            if let Some(inj) = &mut self.injector {
                 inj.note_detected(FaultClass::BitFlip);
             }
             self.retry_or_escalate(now, mailbox, probe)
@@ -516,7 +534,7 @@ impl LogWriter {
     fn retry_or_escalate(
         &mut self,
         now: u64,
-        mailbox: &CfiMailbox,
+        mailbox: &mut CfiMailbox,
         probe: &mut dyn Probe,
     ) -> Option<Violation> {
         self.attempt += 1;
@@ -539,7 +557,7 @@ impl LogWriter {
     fn escalate(
         &mut self,
         now: u64,
-        mailbox: &CfiMailbox,
+        mailbox: &mut CfiMailbox,
         probe: &mut dyn Probe,
     ) -> Option<Violation> {
         mailbox.host_abort();
@@ -547,7 +565,7 @@ impl LogWriter {
             probe.span_end(Track::Mailbox, now);
             self.ring_accepted = false;
         }
-        if let Some(inj) = &self.injector {
+        if let Some(inj) = &mut self.injector {
             inj.note_escalated();
         }
         self.attempt = 0;
@@ -585,6 +603,7 @@ impl LogWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibex_model::Device;
     use titancfi_faults::FaultConfig;
 
     fn log(pc: u64) -> CommitLog {
@@ -597,20 +616,19 @@ mod tests {
     }
 
     /// Mock RoT: instantly check with `verdict` and complete.
-    fn mock_rot_respond(mailbox: &CfiMailbox, verdict: u32) {
+    fn mock_rot_respond(mailbox: &mut CfiMailbox, verdict: u32) {
         if mailbox.doorbell_pending() {
-            let mut dev = mailbox.device();
-            dev.write(
+            mailbox.write(
                 opentitan_model::mailbox::regs::DATA0,
                 riscv_isa::MemWidth::W,
                 u64::from(verdict),
             );
-            dev.write(
+            mailbox.write(
                 opentitan_model::mailbox::regs::DOORBELL,
                 riscv_isa::MemWidth::W,
                 0,
             );
-            dev.write(
+            mailbox.write(
                 opentitan_model::mailbox::regs::COMPLETION,
                 riscv_isa::MemWidth::W,
                 1,
@@ -622,15 +640,15 @@ mod tests {
     /// the doorbell rings.
     fn run_one(verdict: u32) -> (LogWriter, Option<Violation>, u64) {
         let mut queue = CfiQueue::new(4);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         let mut writer = LogWriter::new(AxiTiming::default());
         queue.push(0, log(0x8000_0000));
         let mut violation = None;
         let mut cycle = 0;
         for now in 0..10_000u64 {
             cycle = now;
-            mock_rot_respond(&mailbox, verdict);
-            if let Some(v) = writer.tick(now, &mut queue, &mailbox) {
+            mock_rot_respond(&mut mailbox, verdict);
+            if let Some(v) = writer.tick(now, &mut queue, &mut mailbox) {
                 violation = Some(v);
             }
             if writer.logs_written == 1 {
@@ -660,14 +678,14 @@ mod tests {
     #[test]
     fn queued_hart_rides_the_ring_and_the_violation() {
         let mut queue = CfiQueue::new(4);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         mailbox.enable_integrity();
         let mut writer = LogWriter::new(AxiTiming::default());
         queue.push(1, log(0x8000_0000));
         let mut violation = None;
         for now in 0..10_000u64 {
-            mock_rot_respond(&mailbox, 1);
-            violation = writer.tick(now, &mut queue, &mailbox);
+            mock_rot_respond(&mut mailbox, 1);
+            violation = writer.tick(now, &mut queue, &mut mailbox);
             if violation.is_some() {
                 break;
             }
@@ -690,7 +708,7 @@ mod tests {
     #[test]
     fn mailbox_receives_full_log() {
         let mut queue = CfiQueue::new(1);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         let mut writer = LogWriter::new(AxiTiming::default());
         let sent = CommitLog {
             pc: 0x1111_2222_3333_4444,
@@ -700,7 +718,7 @@ mod tests {
         };
         queue.push(0, sent);
         for now in 0..1000 {
-            writer.tick(now, &mut queue, &mailbox);
+            writer.tick(now, &mut queue, &mut mailbox);
             if mailbox.doorbell_pending() {
                 break;
             }
@@ -720,25 +738,24 @@ mod tests {
     #[test]
     fn probed_tick_records_spans_and_latency() {
         let mut queue = CfiQueue::new(4);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         let mut writer = LogWriter::new(AxiTiming::default());
         let mut rec = titancfi_obs::Recorder::new();
         queue.push(0, log(0x8000_0000));
         for now in 0..10_000u64 {
             if mailbox.doorbell_pending() {
-                let mut dev = mailbox.device();
-                dev.write(
+                mailbox.write(
                     opentitan_model::mailbox::regs::DATA0,
                     riscv_isa::MemWidth::W,
                     0,
                 );
-                dev.write(
+                mailbox.write(
                     opentitan_model::mailbox::regs::COMPLETION,
                     riscv_isa::MemWidth::W,
                     1,
                 );
             }
-            writer.tick_probed(now, &mut queue, &mailbox, &mut rec);
+            writer.tick_probed(now, &mut queue, &mut mailbox, &mut rec);
             if writer.logs_written == 1 {
                 break;
             }
@@ -760,10 +777,10 @@ mod tests {
     #[test]
     fn idle_with_empty_queue_stays_idle() {
         let mut queue = CfiQueue::new(1);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         let mut writer = LogWriter::new(AxiTiming::default());
         for now in 0..10 {
-            assert!(writer.tick(now, &mut queue, &mailbox).is_none());
+            assert!(writer.tick(now, &mut queue, &mut mailbox).is_none());
         }
         assert_eq!(writer.state(), WriterState::Idle);
         assert!(!writer.busy());
@@ -773,11 +790,11 @@ mod tests {
     /// idle (or after `budget` cycles).
     fn run_unanswered(resilience: ResilienceConfig, budget: u64) -> (LogWriter, u64) {
         let mut queue = CfiQueue::new(4);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         let mut writer = LogWriter::with_resilience(AxiTiming::default(), resilience);
         queue.push(0, log(0x8000_0000));
         for now in 0..budget {
-            writer.tick(now, &mut queue, &mailbox);
+            writer.tick(now, &mut queue, &mut mailbox);
             if now > 0 && !writer.busy() && queue.is_empty() {
                 return (writer, now);
             }
@@ -794,14 +811,14 @@ mod tests {
             policy: FailPolicy::FailClosed,
         };
         let mut queue = CfiQueue::new(4);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         let mut writer = LogWriter::with_resilience(AxiTiming::default(), resilience);
         queue.push(0, log(0x8000_0000));
         let mut violation = None;
         let mut done_at = 0;
         // 3 attempts x (write + 500 wait) + backoffs is well under 4_000.
         for now in 0..4_000u64 {
-            if let Some(v) = writer.tick(now, &mut queue, &mailbox) {
+            if let Some(v) = writer.tick(now, &mut queue, &mut mailbox) {
                 violation = Some(v);
                 done_at = now;
                 break;
@@ -846,9 +863,8 @@ mod tests {
     #[test]
     fn retry_rings_doorbell_again_after_dropped_ring() {
         let cfg = FaultConfig::only(FaultClass::DoorbellDrop, 4, 7);
-        let injector = FaultInjector::new(cfg);
         let mut queue = CfiQueue::new(32);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         mailbox.enable_integrity();
         let mut writer = LogWriter::with_resilience(
             AxiTiming::default(),
@@ -859,13 +875,13 @@ mod tests {
                 policy: FailPolicy::FailClosed,
             },
         );
-        writer.attach_injector(injector.clone());
+        writer.attach_injector(FaultInjector::new(cfg));
         for i in 0..20 {
             queue.push(0, log(0x8000_0000 + 8 * i));
         }
         for now in 0..2_000_000u64 {
-            mock_rot_respond(&mailbox, 0);
-            writer.tick(now, &mut queue, &mailbox);
+            mock_rot_respond(&mut mailbox, 0);
+            writer.tick(now, &mut queue, &mut mailbox);
             if writer.logs_written + writer.forced_violations == 20 {
                 break;
             }
@@ -875,7 +891,7 @@ mod tests {
             20,
             "every log delivered or escalated, never hung"
         );
-        let report = injector.report();
+        let report = writer.injector().expect("attached").report();
         let drops = report.class(FaultClass::DoorbellDrop);
         assert!(drops.injected > 0, "the schedule must actually drop rings");
         assert_eq!(drops.injected, drops.detected, "watchdog caught each drop");
@@ -887,9 +903,8 @@ mod tests {
     #[test]
     fn bit_flips_rejected_by_integrity_and_recovered() {
         let cfg = FaultConfig::only(FaultClass::BitFlip, 6, 11);
-        let injector = FaultInjector::new(cfg);
         let mut queue = CfiQueue::new(32);
-        let mailbox = CfiMailbox::new();
+        let mut mailbox = CfiMailbox::new();
         mailbox.enable_integrity();
         let mut writer = LogWriter::with_resilience(
             AxiTiming::default(),
@@ -900,19 +915,23 @@ mod tests {
                 policy: FailPolicy::FailClosed,
             },
         );
-        writer.attach_injector(injector.clone());
+        writer.attach_injector(FaultInjector::new(cfg));
         for i in 0..20 {
             queue.push(0, log(0x8000_0000 + 8 * i));
         }
         for now in 0..2_000_000u64 {
-            mock_rot_respond(&mailbox, 0);
-            writer.tick(now, &mut queue, &mailbox);
+            mock_rot_respond(&mut mailbox, 0);
+            writer.tick(now, &mut queue, &mut mailbox);
             if writer.logs_written + writer.forced_violations == 20 {
                 break;
             }
         }
         assert_eq!(writer.logs_written + writer.forced_violations, 20);
-        let flips = injector.report().class(FaultClass::BitFlip);
+        let flips = writer
+            .injector()
+            .expect("attached")
+            .report()
+            .class(FaultClass::BitFlip);
         assert!(flips.injected > 0);
         assert_eq!(flips.unresolved, 0);
         assert!(
@@ -926,7 +945,7 @@ mod tests {
     fn fault_free_run_identical_with_and_without_resilience() {
         let run = |resilience: ResilienceConfig, injector: Option<FaultInjector>| {
             let mut queue = CfiQueue::new(32);
-            let mailbox = CfiMailbox::new();
+            let mut mailbox = CfiMailbox::new();
             mailbox.enable_integrity();
             let mut writer = LogWriter::with_resilience(AxiTiming::default(), resilience);
             if let Some(inj) = injector {
@@ -937,8 +956,8 @@ mod tests {
             }
             let mut trace = Vec::new();
             for now in 0..100_000u64 {
-                mock_rot_respond(&mailbox, 0);
-                writer.tick(now, &mut queue, &mailbox);
+                mock_rot_respond(&mut mailbox, 0);
+                writer.tick(now, &mut queue, &mut mailbox);
                 if writer.logs_written == 10 {
                     trace.push(now);
                     break;

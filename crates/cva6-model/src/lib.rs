@@ -27,6 +27,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod core;
 mod timing;

@@ -13,6 +13,8 @@
 //! Baseline (unmodified CVA6 / SoC / DExIE) figures are the paper's own
 //! Table IV numbers; the *deltas* are what this model computes.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Add, AddAssign};
 

@@ -31,6 +31,8 @@
 //! `titancfi-harness` pool with the content-addressed result cache and is
 //! wired into CI as a time-boxed smoke.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod oracle;
 pub mod repro;

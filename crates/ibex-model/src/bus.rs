@@ -9,6 +9,7 @@
 //! latency to the core's cycle count.
 
 use riscv_isa::{Bus, MemFault, MemWidth};
+use std::any::Any;
 use std::fmt;
 
 /// Classification of a bus region, mirroring the paper's cost split.
@@ -55,10 +56,12 @@ impl RegionLatency {
 /// Offsets are relative to the device's base address. Devices are registered
 /// on the bus with a region kind and latency like RAM regions.
 ///
-/// `Send` is part of the contract so a whole simulated SoC can move between
-/// threads — fleet shards hand devices to whichever worker steals them. The
-/// existing implementations all qualify (plain state or `Arc<Mutex<_>>`).
-pub trait Device: Send {
+/// A device is plain owned state: the bus region that maps it is its one
+/// owner, and other code reaches it through [`SystemBus::device`] /
+/// [`SystemBus::device_mut`] (hence `Any`). `Send` is part of the contract
+/// so a whole simulated SoC can move between threads — fleet shards hand
+/// devices to whichever worker steals them.
+pub trait Device: Any + Send {
     /// Reads `width` bytes at `offset`.
     fn read(&mut self, offset: u64, width: MemWidth) -> u64;
 
@@ -195,19 +198,24 @@ impl SystemBus {
         self.last_access.take()
     }
 
-    /// Mutable access to a registered device, downcast by the caller.
+    /// The device of concrete type `T` mapped at `base`.
     ///
-    /// Returns `None` if `base` does not name a device region.
-    pub fn device_at(&mut self, base: u64) -> Option<&mut (dyn Device + '_)> {
-        for r in &mut self.regions {
-            if r.base == base {
-                return match &mut r.backing {
-                    Backing::Dev(d) => Some(&mut **d),
-                    Backing::Ram(_) => None,
-                };
-            }
+    /// Returns `None` if `base` does not start a region, names a RAM
+    /// region, or maps a device of another type.
+    #[must_use]
+    pub fn device<T: Device>(&self, base: u64) -> Option<&T> {
+        match &self.regions.iter().find(|r| r.base == base)?.backing {
+            Backing::Dev(d) => (&**d as &dyn Any).downcast_ref(),
+            Backing::Ram(_) => None,
         }
-        None
+    }
+
+    /// Mutable form of [`SystemBus::device`].
+    pub fn device_mut<T: Device>(&mut self, base: u64) -> Option<&mut T> {
+        match &mut self.regions.iter_mut().find(|r| r.base == base)?.backing {
+            Backing::Dev(d) => (&mut **d as &mut dyn Any).downcast_mut(),
+            Backing::Ram(_) => None,
+        }
     }
 
     #[inline]
@@ -352,8 +360,42 @@ mod tests {
         assert_eq!(bus.read(0x2004, MemWidth::W).expect("read"), 0x104);
         assert_eq!(bus.take_access().expect("tag").kind, RegionKind::Soc);
         bus.write(0x2000, MemWidth::W, 7).expect("write");
-        // Downcast-free check via behaviour: writes recorded in device.
-        assert!(bus.device_at(0x2000).is_some());
+        assert_eq!(bus.device::<Probe>(0x2000).map(|p| p.last), Some(7));
+    }
+
+    #[test]
+    fn typed_device_lookup() {
+        struct Other;
+        impl Device for Other {
+            fn read(&mut self, _offset: u64, _width: MemWidth) -> u64 {
+                0
+            }
+            fn write(&mut self, _offset: u64, _width: MemWidth, _value: u64) {}
+        }
+        let mut bus = SystemBus::new();
+        bus.add_ram(
+            0x1000,
+            0x100,
+            RegionKind::RotPrivate,
+            RegionLatency::symmetric(1),
+        );
+        bus.add_device(
+            0x2000,
+            0x40,
+            RegionKind::Soc,
+            RegionLatency::symmetric(12),
+            Box::new(Probe { last: 0 }),
+        );
+        // Right type: the owned device itself, mutable in place.
+        bus.device_mut::<Probe>(0x2000).expect("probe").last = 9;
+        assert_eq!(bus.device::<Probe>(0x2000).map(|p| p.last), Some(9));
+        // Wrong type, a RAM region, and a base inside (not at) a region or
+        // outside every region all miss.
+        assert!(bus.device::<Other>(0x2000).is_none());
+        assert!(bus.device_mut::<Other>(0x2000).is_none());
+        assert!(bus.device::<Probe>(0x1000).is_none());
+        assert!(bus.device::<Probe>(0x2004).is_none());
+        assert!(bus.device_mut::<Probe>(0x9000).is_none());
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bus;
 mod core;
 

@@ -33,6 +33,8 @@
 //! every simulation layer — `ibex-model`, `titancfi` (core), `soc` — can
 //! use it without dependency cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod latency;
 pub mod metrics;
 pub mod probe;

@@ -11,13 +11,13 @@
 //! whose commit log is pending — so firmware serving several host harts
 //! can bank its policy state per hart.
 //!
-//! Both sides see the same state: the RoT maps it as a [`Device`] on the
-//! Ibex bus; the host-side Log Writer uses the `host_*` methods (modelling
-//! its AXI master port).
+//! One register file, one owner: the RoT bus region that maps it. The RoT
+//! reaches it as a [`Device`]; the host-side Log Writer (its one host
+//! master) borrows it through [`crate::OpenTitan::mailbox_mut`] and uses the
+//! `host_*` methods, modelling its AXI master port.
 
 use ibex_model::Device;
 use riscv_isa::MemWidth;
-use std::sync::{Arc, Mutex};
 use titancfi_obs::{Probe, Track};
 
 /// Number of 32-bit data registers (256 bits ≥ one 224-bit commit log).
@@ -39,8 +39,9 @@ pub mod regs {
 /// Byte offset one past the last data word.
 const DATA_END: u64 = 4 * DATA_WORDS as u64;
 
+/// The mailbox register file and its evaluation counters.
 #[derive(Debug, Default)]
-struct Shared {
+pub struct CfiMailbox {
     data: [u32; DATA_WORDS],
     doorbell: bool,
     completion: bool,
@@ -65,25 +66,11 @@ struct Shared {
     aborts: u64,
 }
 
-/// The mailbox state, shared between the host-side writer and the RoT bus.
-#[derive(Debug, Clone, Default)]
-pub struct CfiMailbox {
-    shared: Arc<Mutex<Shared>>,
-}
-
 impl CfiMailbox {
     /// A fresh mailbox with cleared registers.
     #[must_use]
     pub fn new() -> CfiMailbox {
         CfiMailbox::default()
-    }
-
-    /// The RoT-side bus device view (register this on the Ibex bus).
-    #[must_use]
-    pub fn device(&self) -> Box<dyn Device> {
-        Box::new(MailboxDevice {
-            shared: Arc::clone(&self.shared),
-        })
     }
 
     // ---- host (CVA6 / Log Writer) side ----
@@ -93,8 +80,8 @@ impl CfiMailbox {
     /// # Panics
     ///
     /// Panics if `index >= DATA_WORDS`.
-    pub fn host_write_data(&self, index: usize, value: u32) {
-        self.shared.lock().expect("mailbox lock").data[index] = value;
+    pub fn host_write_data(&mut self, index: usize, value: u32) {
+        self.data[index] = value;
     }
 
     /// Host AXI read of one data word (used to fetch the verdict).
@@ -104,14 +91,13 @@ impl CfiMailbox {
     /// Panics if `index >= DATA_WORDS`.
     #[must_use]
     pub fn host_read_data(&self, index: usize) -> u32 {
-        self.shared.lock().expect("mailbox lock").data[index]
+        self.data[index]
     }
 
     /// Host sets the doorbell, interrupting the RoT.
-    pub fn host_ring_doorbell(&self) {
-        let mut s = self.shared.lock().expect("mailbox lock");
-        s.doorbell = true;
-        s.doorbells_rung += 1;
+    pub fn host_ring_doorbell(&mut self) {
+        self.doorbell = true;
+        self.doorbells_rung += 1;
     }
 
     // ---- transport integrity (spare word 7) ----
@@ -121,8 +107,8 @@ impl CfiMailbox {
     /// via [`CfiMailbox::host_ring_doorbell_verified_probed`]; the mailbox
     /// hardware checks the word before asserting the RoT interrupt. Verdict
     /// timing is unchanged — the check rides on the ring transaction.
-    pub fn enable_integrity(&self) {
-        self.shared.lock().expect("mailbox lock").integrity = true;
+    pub fn enable_integrity(&mut self) {
+        self.integrity = true;
     }
 
     /// The word-7 encoding: sequence number in the high half, an XOR-fold
@@ -154,34 +140,31 @@ impl CfiMailbox {
     /// are legitimate) but counted so the harness can flag lost or replayed
     /// logs. With integrity disabled the ring is accepted unchecked.
     pub fn host_ring_doorbell_verified_probed(
-        &self,
+        &mut self,
         seq: u16,
         source: u8,
         cycle: u64,
         probe: &mut dyn Probe,
     ) -> bool {
-        {
-            let mut s = self.shared.lock().expect("mailbox lock");
-            if s.integrity {
-                let stored = s.data[DATA_WORDS - 1];
-                let payload: [u32; DATA_WORDS - 1] = s.data[..DATA_WORDS - 1]
-                    .try_into()
-                    .expect("seven payload words");
-                if stored != Self::integrity_word(seq, &payload) {
-                    s.integrity_rejects += 1;
-                    return false;
-                }
-                match s.last_seq {
-                    Some(last) if last == seq => s.seq_duplicates += 1,
-                    Some(last) if last.wrapping_add(1) != seq => s.seq_gaps += 1,
-                    _ => {}
-                }
-                s.last_seq = Some(seq);
+        if self.integrity {
+            let stored = self.data[DATA_WORDS - 1];
+            let payload: [u32; DATA_WORDS - 1] = self.data[..DATA_WORDS - 1]
+                .try_into()
+                .expect("seven payload words");
+            if stored != Self::integrity_word(seq, &payload) {
+                self.integrity_rejects += 1;
+                return false;
             }
-            s.source = source;
-            s.doorbell = true;
-            s.doorbells_rung += 1;
+            match self.last_seq {
+                Some(last) if last == seq => self.seq_duplicates += 1,
+                Some(last) if last.wrapping_add(1) != seq => self.seq_gaps += 1,
+                _ => {}
+            }
+            self.last_seq = Some(seq);
         }
+        self.source = source;
+        self.doorbell = true;
+        self.doorbells_rung += 1;
         if probe.enabled() {
             probe.counter_add("mailbox.doorbells", 1);
             probe.instant(Track::Mailbox, "doorbell", cycle);
@@ -193,17 +176,16 @@ impl CfiMailbox {
     /// Host tears down an in-flight transaction: clears the doorbell and
     /// any completion so a wedged or retried exchange cannot leave the
     /// interface stuck. Used by the Log Writer's escalation path.
-    pub fn host_abort(&self) {
-        let mut s = self.shared.lock().expect("mailbox lock");
-        s.doorbell = false;
-        s.completion = false;
-        s.aborts += 1;
+    pub fn host_abort(&mut self) {
+        self.doorbell = false;
+        self.completion = false;
+        self.aborts += 1;
     }
 
     /// Host polls the completion flag.
     #[must_use]
     pub fn host_completion(&self) -> bool {
-        self.shared.lock().expect("mailbox lock").completion
+        self.completion
     }
 
     /// Like [`CfiMailbox::host_completion`], closing the `check-pending`
@@ -219,8 +201,8 @@ impl CfiMailbox {
     }
 
     /// Host acknowledges (clears) completion.
-    pub fn host_clear_completion(&self) {
-        self.shared.lock().expect("mailbox lock").completion = false;
+    pub fn host_clear_completion(&mut self) {
+        self.completion = false;
     }
 
     // ---- observers ----
@@ -228,85 +210,75 @@ impl CfiMailbox {
     /// Whether the doorbell is currently set (drives the RoT IRQ line).
     #[must_use]
     pub fn doorbell_pending(&self) -> bool {
-        self.shared.lock().expect("mailbox lock").doorbell
+        self.doorbell
     }
 
     /// Total doorbells rung (one per streamed commit log).
     #[must_use]
     pub fn doorbells_rung(&self) -> u64 {
-        self.shared.lock().expect("mailbox lock").doorbells_rung
+        self.doorbells_rung
     }
 
     /// Total completions signalled by the RoT.
     #[must_use]
     pub fn completions_signalled(&self) -> u64 {
-        self.shared
-            .lock()
-            .expect("mailbox lock")
-            .completions_signalled
+        self.completions_signalled
     }
 
     /// Rings rejected by the integrity check.
     #[must_use]
     pub fn integrity_rejects(&self) -> u64 {
-        self.shared.lock().expect("mailbox lock").integrity_rejects
+        self.integrity_rejects
     }
 
     /// Verified rings that re-presented the previous sequence number.
     #[must_use]
     pub fn seq_duplicates(&self) -> u64 {
-        self.shared.lock().expect("mailbox lock").seq_duplicates
+        self.seq_duplicates
     }
 
     /// Verified rings whose sequence number skipped ahead.
     #[must_use]
     pub fn seq_gaps(&self) -> u64 {
-        self.shared.lock().expect("mailbox lock").seq_gaps
+        self.seq_gaps
     }
 
     /// Host-side transaction aborts.
     #[must_use]
     pub fn aborts(&self) -> u64 {
-        self.shared.lock().expect("mailbox lock").aborts
+        self.aborts
     }
 
     /// The latched [`regs::SOURCE`] value.
     #[must_use]
     pub fn source(&self) -> u8 {
-        self.shared.lock().expect("mailbox lock").source
+        self.source
     }
-}
 
-struct MailboxDevice {
-    shared: Arc<Mutex<Shared>>,
-}
-
-impl MailboxDevice {
     /// Byte-wise register-file read. The flag bit lives in the low byte of
     /// its register; the other bytes read as zero (reserved).
-    fn byte_at(s: &Shared, addr: u64) -> u8 {
+    fn byte_at(&self, addr: u64) -> u8 {
         match addr {
-            o if o < DATA_END => (s.data[(o / 4) as usize] >> (8 * (o % 4))) as u8,
-            regs::DOORBELL => u8::from(s.doorbell),
-            regs::COMPLETION => u8::from(s.completion),
-            regs::SOURCE => s.source,
+            o if o < DATA_END => (self.data[(o / 4) as usize] >> (8 * (o % 4))) as u8,
+            regs::DOORBELL => u8::from(self.doorbell),
+            regs::COMPLETION => u8::from(self.completion),
+            regs::SOURCE => self.source,
             _ => 0,
         }
     }
 }
 
-impl Device for MailboxDevice {
+/// The RoT-side view of the register file.
+impl Device for CfiMailbox {
     fn read(&mut self, offset: u64, width: MemWidth) -> u64 {
-        let s = self.shared.lock().expect("mailbox lock");
         let mut value = 0u64;
         for i in 0..width.bytes() {
-            value |= u64::from(Self::byte_at(&s, offset + i)) << (8 * i);
+            value |= u64::from(self.byte_at(offset + i)) << (8 * i);
         }
         value
     }
 
     fn write(&mut self, offset: u64, width: MemWidth, value: u64) {
-        let mut s = self.shared.lock().expect("mailbox lock");
         for i in 0..width.bytes() {
             let addr = offset + i;
             let byte = (value >> (8 * i)) as u8;
@@ -315,32 +287,33 @@ impl Device for MailboxDevice {
                     // Sub-word stores merge into the 32-bit data word.
                     let word = (o / 4) as usize;
                     let shift = 8 * (o % 4);
-                    s.data[word] = (s.data[word] & !(0xff << shift)) | (u32::from(byte) << shift);
+                    self.data[word] =
+                        (self.data[word] & !(0xff << shift)) | (u32::from(byte) << shift);
                 }
                 regs::DOORBELL => {
                     if byte & 1 != 0 {
                         // RoT-side ring (self-notification) counts like a
                         // host ring so `doorbells_rung` stays in sync with
                         // every doorbell edge the firmware can observe.
-                        if !s.doorbell {
-                            s.doorbells_rung += 1;
+                        if !self.doorbell {
+                            self.doorbells_rung += 1;
                         }
-                        s.doorbell = true;
+                        self.doorbell = true;
                     } else {
                         // RoT writes 0 to clear the pending doorbell.
-                        s.doorbell = false;
+                        self.doorbell = false;
                     }
                 }
                 regs::COMPLETION => {
                     if byte & 1 != 0 {
-                        s.completion = true;
-                        s.completions_signalled += 1;
+                        self.completion = true;
+                        self.completions_signalled += 1;
                         // Completion implies the log was consumed: the
                         // hardware clears the doorbell so the firmware does
                         // not pay an extra SoC write for it.
-                        s.doorbell = false;
+                        self.doorbell = false;
                     } else {
-                        s.completion = false;
+                        self.completion = false;
                     }
                 }
                 // Reserved bytes (including the upper bytes of the flag
@@ -358,35 +331,32 @@ mod tests {
 
     #[test]
     fn host_to_rot_data_path() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         mb.host_write_data(0, 0xdead_beef);
         mb.host_write_data(6, 0x1234);
-        assert_eq!(dev.read(0x00, MemWidth::W), 0xdead_beef);
-        assert_eq!(dev.read(0x18, MemWidth::W), 0x1234);
+        assert_eq!(mb.read(0x00, MemWidth::W), 0xdead_beef);
+        assert_eq!(mb.read(0x18, MemWidth::W), 0x1234);
     }
 
     #[test]
     fn doorbell_protocol() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         assert!(!mb.doorbell_pending());
         mb.host_ring_doorbell();
         assert!(mb.doorbell_pending());
-        assert_eq!(dev.read(regs::DOORBELL, MemWidth::W), 1);
+        assert_eq!(mb.read(regs::DOORBELL, MemWidth::W), 1);
         // RoT clears it.
-        dev.write(regs::DOORBELL, MemWidth::W, 0);
+        mb.write(regs::DOORBELL, MemWidth::W, 0);
         assert!(!mb.doorbell_pending());
         assert_eq!(mb.doorbells_rung(), 1);
     }
 
     #[test]
     fn completion_protocol_with_verdict() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         // RoT writes the verdict into data0 and signals completion.
-        dev.write(regs::DATA0, MemWidth::W, 1); // violation!
-        dev.write(regs::COMPLETION, MemWidth::W, 1);
+        mb.write(regs::DATA0, MemWidth::W, 1); // violation!
+        mb.write(regs::COMPLETION, MemWidth::W, 1);
         assert!(mb.host_completion());
         assert_eq!(mb.host_read_data(0), 1);
         mb.host_clear_completion();
@@ -395,66 +365,53 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state() {
-        let mb = CfiMailbox::new();
-        let mb2 = mb.clone();
-        mb.host_ring_doorbell();
-        assert!(mb2.doorbell_pending());
-    }
-
-    #[test]
     fn sub_word_store_merges_into_data_word() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         mb.host_write_data(0, 0xaabb_ccdd);
-        dev.write(0x01, MemWidth::B, 0xee);
+        mb.write(0x01, MemWidth::B, 0xee);
         assert_eq!(mb.host_read_data(0), 0xaabb_eedd);
-        dev.write(0x02, MemWidth::H, 0x1122);
+        mb.write(0x02, MemWidth::H, 0x1122);
         assert_eq!(mb.host_read_data(0), 0x1122_eedd);
     }
 
     #[test]
     fn sub_word_loads_extract_bytes() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         mb.host_write_data(1, 0x8899_aabb);
-        assert_eq!(dev.read(0x04, MemWidth::B), 0xbb);
-        assert_eq!(dev.read(0x05, MemWidth::B), 0xaa);
-        assert_eq!(dev.read(0x06, MemWidth::H), 0x8899);
+        assert_eq!(mb.read(0x04, MemWidth::B), 0xbb);
+        assert_eq!(mb.read(0x05, MemWidth::B), 0xaa);
+        assert_eq!(mb.read(0x06, MemWidth::H), 0x8899);
     }
 
     #[test]
     fn double_width_access_spans_two_words() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
-        dev.write(0x08, MemWidth::D, 0x1111_2222_3333_4444);
+        let mut mb = CfiMailbox::new();
+        mb.write(0x08, MemWidth::D, 0x1111_2222_3333_4444);
         assert_eq!(mb.host_read_data(2), 0x3333_4444);
         assert_eq!(mb.host_read_data(3), 0x1111_2222);
-        assert_eq!(dev.read(0x08, MemWidth::D), 0x1111_2222_3333_4444);
+        assert_eq!(mb.read(0x08, MemWidth::D), 0x1111_2222_3333_4444);
     }
 
     #[test]
     fn wide_flag_write_does_not_leak_into_neighbours() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         // A word-wide completion write must only consume the flag bit; the
         // reserved upper bytes are ignored, not treated as extra registers.
-        dev.write(regs::COMPLETION, MemWidth::W, 0xffff_ff01);
+        mb.write(regs::COMPLETION, MemWidth::W, 0xffff_ff01);
         assert!(mb.host_completion());
-        assert_eq!(dev.read(regs::COMPLETION, MemWidth::W), 1);
+        assert_eq!(mb.read(regs::COMPLETION, MemWidth::W), 1);
     }
 
     #[test]
     fn device_side_doorbell_set_counts() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
-        dev.write(regs::DOORBELL, MemWidth::W, 1);
+        let mut mb = CfiMailbox::new();
+        mb.write(regs::DOORBELL, MemWidth::W, 1);
         assert!(mb.doorbell_pending());
         assert_eq!(mb.doorbells_rung(), 1);
         // Re-asserting an already-pending doorbell is not a new ring.
-        dev.write(regs::DOORBELL, MemWidth::W, 1);
+        mb.write(regs::DOORBELL, MemWidth::W, 1);
         assert_eq!(mb.doorbells_rung(), 1);
-        dev.write(regs::DOORBELL, MemWidth::W, 0);
+        mb.write(regs::DOORBELL, MemWidth::W, 0);
         assert!(!mb.doorbell_pending());
         assert_eq!(mb.doorbells_rung(), 1);
     }
@@ -463,7 +420,7 @@ mod tests {
         [0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77]
     }
 
-    fn write_log(mb: &CfiMailbox, seq: u16) {
+    fn write_log(mb: &mut CfiMailbox, seq: u16) {
         for (i, w) in payload().iter().enumerate() {
             mb.host_write_data(i, *w);
         }
@@ -472,9 +429,9 @@ mod tests {
 
     #[test]
     fn verified_ring_accepts_clean_log() {
-        let mb = CfiMailbox::new();
+        let mut mb = CfiMailbox::new();
         mb.enable_integrity();
-        write_log(&mb, 1);
+        write_log(&mut mb, 1);
         let mut probe = titancfi_obs::NoProbe;
         assert!(mb.host_ring_doorbell_verified_probed(1, 0, 0, &mut probe));
         assert!(mb.doorbell_pending());
@@ -487,9 +444,9 @@ mod tests {
     fn verified_ring_rejects_any_single_bit_flip() {
         for word in 0..DATA_WORDS {
             for bit in [0u32, 7, 15, 16, 31] {
-                let mb = CfiMailbox::new();
+                let mut mb = CfiMailbox::new();
                 mb.enable_integrity();
-                write_log(&mb, 1);
+                write_log(&mut mb, 1);
                 mb.host_write_data(word, mb.host_read_data(word) ^ (1 << bit));
                 let mut probe = titancfi_obs::NoProbe;
                 assert!(
@@ -504,23 +461,23 @@ mod tests {
 
     #[test]
     fn verified_ring_tracks_duplicates_and_gaps() {
-        let mb = CfiMailbox::new();
+        let mut mb = CfiMailbox::new();
         mb.enable_integrity();
         let mut probe = titancfi_obs::NoProbe;
-        write_log(&mb, 1);
+        write_log(&mut mb, 1);
         assert!(mb.host_ring_doorbell_verified_probed(1, 0, 0, &mut probe));
         // Retry of the same sequence number: accepted, counted.
         assert!(mb.host_ring_doorbell_verified_probed(1, 0, 10, &mut probe));
         assert_eq!(mb.seq_duplicates(), 1);
         // Sequence 3 after 1: a log was lost.
-        write_log(&mb, 3);
+        write_log(&mut mb, 3);
         assert!(mb.host_ring_doorbell_verified_probed(3, 0, 20, &mut probe));
         assert_eq!(mb.seq_gaps(), 1);
     }
 
     #[test]
     fn unverified_ring_when_integrity_disabled() {
-        let mb = CfiMailbox::new();
+        let mut mb = CfiMailbox::new();
         let mut probe = titancfi_obs::NoProbe;
         // Garbage in word 7 and a mismatched seq must still be accepted.
         mb.host_write_data(DATA_WORDS - 1, 0xdead_beef);
@@ -530,28 +487,27 @@ mod tests {
 
     #[test]
     fn verified_ring_latches_source() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         mb.enable_integrity();
-        write_log(&mb, 1);
+        write_log(&mut mb, 1);
         let mut probe = titancfi_obs::NoProbe;
         assert!(mb.host_ring_doorbell_verified_probed(1, 1, 0, &mut probe));
         assert_eq!(mb.source(), 1);
-        assert_eq!(dev.read(regs::SOURCE, MemWidth::W), 1);
+        assert_eq!(mb.read(regs::SOURCE, MemWidth::W), 1);
         // Read-only: a RoT-side write does not move it.
-        dev.write(regs::SOURCE, MemWidth::W, 0);
-        assert_eq!(dev.read(regs::SOURCE, MemWidth::W), 1);
+        mb.write(regs::SOURCE, MemWidth::W, 0);
+        assert_eq!(mb.read(regs::SOURCE, MemWidth::W), 1);
     }
 
     #[test]
     fn rejected_ring_leaves_source_unchanged() {
-        let mb = CfiMailbox::new();
+        let mut mb = CfiMailbox::new();
         mb.enable_integrity();
         let mut probe = titancfi_obs::NoProbe;
-        write_log(&mb, 1);
+        write_log(&mut mb, 1);
         assert!(mb.host_ring_doorbell_verified_probed(1, 1, 0, &mut probe));
         // A corrupted log from hart 0: rejected, source still hart 1.
-        write_log(&mb, 2);
+        write_log(&mut mb, 2);
         mb.host_write_data(0, mb.host_read_data(0) ^ 1);
         assert!(!mb.host_ring_doorbell_verified_probed(2, 0, 10, &mut probe));
         assert_eq!(mb.integrity_rejects(), 1);
@@ -563,11 +519,11 @@ mod tests {
         // Two harts' logs through the one Log Writer: one sequence counter
         // across both, so interleaving is neither a gap nor a duplicate,
         // and each ring latches its own hart.
-        let mb = CfiMailbox::new();
+        let mut mb = CfiMailbox::new();
         mb.enable_integrity();
         let mut probe = titancfi_obs::NoProbe;
         for (seq, hart) in [(1u16, 0u8), (2, 1), (3, 1), (4, 0), (5, 1)] {
-            write_log(&mb, seq);
+            write_log(&mut mb, seq);
             assert!(mb.host_ring_doorbell_verified_probed(seq, hart, 0, &mut probe));
             assert_eq!(mb.source(), hart);
         }
@@ -578,10 +534,9 @@ mod tests {
 
     #[test]
     fn abort_tears_down_inflight_transaction() {
-        let mb = CfiMailbox::new();
-        let mut dev = mb.device();
+        let mut mb = CfiMailbox::new();
         mb.host_ring_doorbell();
-        dev.write(regs::COMPLETION, MemWidth::W, 1);
+        mb.write(regs::COMPLETION, MemWidth::W, 1);
         mb.host_abort();
         assert!(!mb.doorbell_pending());
         assert!(!mb.host_completion());

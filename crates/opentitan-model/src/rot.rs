@@ -74,12 +74,10 @@ impl LatencyProfile {
 /// The composed root of trust.
 #[derive(Debug)]
 pub struct OpenTitan {
-    /// The Ibex security microcontroller.
+    /// The Ibex security microcontroller. Its bus owns the CFI mailbox and
+    /// the PLIC; reach them through [`OpenTitan::mailbox`],
+    /// [`OpenTitan::mailbox_mut`] and [`OpenTitan::plic_mut`].
     pub core: IbexCore,
-    /// Shared handle to the CFI mailbox (the host side holds a clone).
-    pub mailbox: CfiMailbox,
-    /// Shared handle to the interrupt controller.
-    pub plic: Plic,
     /// The HMAC accelerator (used by policies to authenticate spills).
     pub hmac: HmacEngine,
     /// The scrambled, ECC-protected embedded flash (key storage).
@@ -100,8 +98,6 @@ impl OpenTitan {
             firmware.base >= map::SRAM_BASE && firmware.end() <= map::SRAM_BASE + map::SRAM_SIZE,
             "firmware image must live in the RoT scratchpad"
         );
-        let mailbox = CfiMailbox::new();
-        let plic = Plic::new();
         let mut bus = SystemBus::new();
         bus.add_ram(
             map::SRAM_BASE,
@@ -114,14 +110,14 @@ impl OpenTitan {
             map::PLIC_SIZE,
             RegionKind::Soc,
             profile.soc,
-            plic.device(),
+            Box::new(Plic::new()),
         );
         bus.add_device(
             map::MAILBOX_BASE,
             map::MAILBOX_SIZE,
             RegionKind::Soc,
             profile.soc,
-            mailbox.device(),
+            Box::new(CfiMailbox::new()),
         );
         bus.add_ram(
             map::SOC_RAM_BASE,
@@ -136,30 +132,51 @@ impl OpenTitan {
             .set_reg(riscv_isa::Reg::SP, map::SRAM_BASE + map::SRAM_SIZE - 16);
         OpenTitan {
             core,
-            mailbox,
-            plic,
             hmac: HmacEngine::new(b"titancfi-device-unique-key"),
             flash: Flash::new(4096, 0x0123_4567_89ab_cdef),
         }
     }
 
-    /// Propagates the mailbox doorbell through the PLIC to the Ibex
-    /// external-interrupt line. Call once per co-simulation step.
-    pub fn sync_irq(&mut self) {
-        let doorbell = self.mailbox.doorbell_pending();
-        self.sync_irq_level(doorbell);
+    /// The CFI mailbox registers.
+    #[must_use]
+    pub fn mailbox(&self) -> &CfiMailbox {
+        self.core
+            .bus
+            .device(map::MAILBOX_BASE)
+            .expect("mailbox mapped")
     }
 
-    /// [`OpenTitan::sync_irq`] with the doorbell level supplied by the
-    /// caller — event-driven schedulers cache the level to avoid re-locking
-    /// the mailbox on every processed tick. Idempotent for a given level.
-    pub fn sync_irq_level(&mut self, doorbell: bool) {
+    /// Mutable access to the CFI mailbox registers (the host-side Log
+    /// Writer's AXI master port).
+    pub fn mailbox_mut(&mut self) -> &mut CfiMailbox {
+        self.core
+            .bus
+            .device_mut(map::MAILBOX_BASE)
+            .expect("mailbox mapped")
+    }
+
+    /// Mutable access to the interrupt controller.
+    pub fn plic_mut(&mut self) -> &mut Plic {
+        self.core
+            .bus
+            .device_mut(map::PLIC_BASE)
+            .expect("PLIC mapped")
+    }
+
+    /// Propagates the mailbox doorbell through the PLIC to the Ibex
+    /// external-interrupt line, returning the doorbell level. Call once per
+    /// co-simulation step.
+    pub fn sync_irq(&mut self) -> bool {
+        let doorbell = self.mailbox().doorbell_pending();
+        let plic = self.plic_mut();
         if doorbell {
-            self.plic.raise(SRC_CFI_MAILBOX);
+            plic.raise(SRC_CFI_MAILBOX);
         } else {
-            self.plic.lower(SRC_CFI_MAILBOX);
+            plic.lower(SRC_CFI_MAILBOX);
         }
-        self.core.set_irq(csr::MIX_MEIP, self.plic.irq_line());
+        let line = plic.irq_line();
+        self.core.set_irq(csr::MIX_MEIP, line);
+        doorbell
     }
 }
 
@@ -185,7 +202,7 @@ mod tests {
         rot.core.hart.csrs.mie = csr::MIX_MEIP;
         rot.sync_irq();
         assert_eq!(rot.core.hart.csrs.mip & csr::MIX_MEIP, 0);
-        rot.mailbox.host_ring_doorbell();
+        rot.mailbox_mut().host_ring_doorbell();
         rot.sync_irq();
         assert_ne!(rot.core.hart.csrs.mip & csr::MIX_MEIP, 0);
     }

@@ -1,8 +1,7 @@
 //! Register-level SCMI channel: the wire format of the system mailbox.
 //!
-//! [`crate::scmi`] models the message-level protocol; this module is the
-//! memory-mapped view the *host software* actually programs (paper §III-B:
-//! "a set of general-purpose memory mapped registers meant for data
+//! This is the memory-mapped view the *host software* programs (paper
+//! §III-B: "a set of general-purpose memory mapped registers meant for data
 //! sharing" plus doorbell/completion). The SoC maps it into the host
 //! address space; the RoT-side [`ScmiWireService`] polls the doorbell and
 //! serves version and attestation requests.
@@ -61,6 +60,9 @@ impl Default for Wire {
 /// The shared register file of the SCMI channel.
 #[derive(Debug, Clone, Default)]
 pub struct ScmiWire {
+    /// Shared, unlike the CFI mailbox's one-owner registers: the channel
+    /// has several bus masters — every hart's host bus plus the RoT-side
+    /// [`ScmiWireService`] — each holding a clone.
     shared: Arc<Mutex<Wire>>,
 }
 

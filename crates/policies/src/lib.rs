@@ -23,6 +23,8 @@
 //! These are the *golden models* of the RV32 firmware in
 //! [`titancfi::firmware`]; integration tests assert the two agree.
 
+#![forbid(unsafe_code)]
+
 pub mod attacks;
 pub mod combined;
 pub mod forward_edge;

@@ -30,6 +30,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod asm;
 mod compress;
 mod disasm;

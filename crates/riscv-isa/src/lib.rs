@@ -29,6 +29,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod cfi;
 pub mod csr;

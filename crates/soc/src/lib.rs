@@ -26,6 +26,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod hostbus;
 mod sim;
 

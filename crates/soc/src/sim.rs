@@ -219,14 +219,6 @@ pub struct SystemOnChip {
     /// to observe a possible completion write. Forces one writer tick at
     /// the head of the next [`SystemOnChip::advance_background_fast`].
     bg_poke: bool,
-    /// Cached mailbox doorbell level as of the last event-driven advance.
-    /// Sound because the mailbox is PMP-protected (the host cannot ring
-    /// it), so the level only moves inside the advance loop itself — or in
-    /// [`SystemOnChip::tick_once`], which marks the cache stale instead.
-    bg_doorbell: bool,
-    /// Forces a mailbox re-read at the next advance entry (set by the
-    /// per-cycle tick path, whose writer/RoT activity bypasses the cache).
-    bg_doorbell_stale: bool,
     violations: Vec<Violation>,
     trapped_violations: usize,
     scmi_service: ScmiWireService,
@@ -237,8 +229,6 @@ pub struct SystemOnChip {
     cfi_range: (u64, u64),
     /// Whether a firmware `cfi-check` span is currently open.
     fw_checking: bool,
-    /// Fault source, when a schedule is configured.
-    injector: Option<FaultInjector>,
     /// RoT health (injected hangs/traps stop the core from stepping).
     rot_health: RotHealth,
     /// `poll_loop` address of polling firmwares (glitch recovery point);
@@ -250,6 +240,13 @@ pub struct SystemOnChip {
     /// streams byte for byte.
     log_tap: Option<Vec<Vec<titancfi::CommitLog>>>,
 }
+
+// Fleet shards move whole SoCs — RoT devices included — between worker
+// threads, so the SoC must stay `Send`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<SystemOnChip>();
+};
 
 /// The attached probes.
 #[derive(Debug, Default)]
@@ -330,11 +327,10 @@ impl SystemOnChip {
         let harts = programs
             .iter()
             .map(|program| {
-                // Host bus: program RAM plus the host-visible mailbox
-                // window, locked down by PMP exactly as the paper's threat
-                // model assumes (software cannot tamper with in-flight
-                // commit logs; only the hardware Log Writer reaches the
-                // mailbox).
+                // Host bus: program RAM plus the mailbox window, locked
+                // down by PMP exactly as the paper's threat model assumes
+                // (software cannot tamper with in-flight commit logs; only
+                // the hardware Log Writer reaches the mailbox).
                 assert!(
                     program.bytes.len() <= config.mem_size,
                     "program ({} bytes) larger than memory ({})",
@@ -343,7 +339,6 @@ impl SystemOnChip {
                 );
                 let mut bus = HostBus::new(program.base, config.mem_size);
                 bus.load(program.base, &program.bytes);
-                bus.map_mailbox(rot.mailbox.clone());
                 bus.protect_mailbox();
                 bus.map_scmi(scmi.clone());
                 let mut core = Cva6Core::with_bus(bus, program.entry, config.timing);
@@ -394,18 +389,14 @@ impl SystemOnChip {
             FirmwareKind::Irq => 0,
             _ => fw.symbol("poll_loop").expect("poll_loop symbol"),
         };
-        let injector = config
-            .faults
-            .filter(FaultConfig::enabled)
-            .map(FaultInjector::new);
         let mut writer = LogWriter::with_resilience(config.axi, config.resilience);
-        if let Some(inj) = &injector {
-            writer.attach_injector(inj.clone());
+        if let Some(faults) = config.faults.filter(FaultConfig::enabled) {
+            writer.attach_injector(FaultInjector::new(faults));
         }
         // The transport always runs with word-7 integrity on: it costs no
         // cycles (the word rides the final AXI beat) and catches in-flight
         // corruption before the RoT ever sees it.
-        rot.mailbox.enable_integrity();
+        rot.mailbox_mut().enable_integrity();
         SystemOnChip {
             harts,
             queue: CfiQueue::new(config.queue_depth),
@@ -415,8 +406,6 @@ impl SystemOnChip {
             config,
             bg_cycle: 0,
             bg_poke: false,
-            bg_doorbell: false,
-            bg_doorbell_stale: true,
             violations: Vec::new(),
             trapped_violations: 0,
             scmi_service,
@@ -424,7 +413,6 @@ impl SystemOnChip {
             fw_symbols: fw.symbols,
             cfi_range,
             fw_checking: false,
-            injector,
             rot_health: RotHealth::Healthy,
             poll_pc,
             log_tap: None,
@@ -540,7 +528,9 @@ impl SystemOnChip {
     fn advance_background(&mut self, until: u64) {
         while self.bg_cycle < until {
             // Fast-forward across true idleness.
-            if self.queue.is_empty() && !self.writer.busy() && !self.rot.mailbox.doorbell_pending()
+            if self.queue.is_empty()
+                && !self.writer.busy()
+                && !self.rot.mailbox().doorbell_pending()
             {
                 self.scmi_service.poll();
                 if let Some(rec) = self.observers.recorder.as_mut() {
@@ -580,8 +570,8 @@ impl SystemOnChip {
             return None;
         }
         let fault = self
-            .injector
-            .as_ref()
+            .writer
+            .injector_mut()
             .map_or(CheckFault::None, FaultInjector::check_fault);
         match fault {
             CheckFault::None => None,
@@ -604,23 +594,21 @@ impl SystemOnChip {
     }
 
     fn tick_once(&mut self) {
-        // This path moves writer/mailbox state without the event-driven
-        // advance's bookkeeping: its cached doorbell must be re-read.
-        self.bg_doorbell_stale = true;
-        let injected_trap = self.check_entry(self.rot.mailbox.doorbell_pending());
+        let injected_trap = self.check_entry(self.rot.mailbox().doorbell_pending());
         let probe = self.observers.probe();
-        if let Some(v) =
-            self.writer
-                .tick_probed(self.bg_cycle, &mut self.queue, &self.rot.mailbox, probe)
-        {
+        if let Some(v) = self.writer.tick_probed(
+            self.bg_cycle,
+            &mut self.queue,
+            self.rot.mailbox_mut(),
+            probe,
+        ) {
             self.violations.push(v);
         }
         probe.histogram_record("queue.occupancy", self.queue.len() as u64);
         self.scmi_service.poll();
-        self.rot.sync_irq();
+        let doorbell = self.rot.sync_irq();
         let runnable = self.rot_health == RotHealth::Healthy
-            && (self.rot.core.state() == ibex_model::IbexState::Running
-                || self.rot.mailbox.doorbell_pending());
+            && (self.rot.core.state() == ibex_model::IbexState::Running || doorbell);
         let mut rot_trap = None;
         if runnable && self.rot.core.cycle() <= self.bg_cycle {
             match self.rot.core.step_probed(probe) {
@@ -671,19 +659,10 @@ impl SystemOnChip {
         // poll would have run it. (SCMI and the CFI transport never
         // interact.)
         self.scmi_service.poll();
-        // The doorbell level is cached across skipped ticks *and* across
-        // advance calls (one mailbox lock per transition instead of per
-        // tick); it only moves when the writer rings it, the RoT completes
-        // a check, or a trap tears the exchange down — all refreshed below
-        // — or in the per-cycle tick path, which marks the cache stale.
-        let mut doorbell = if self.bg_doorbell_stale {
-            self.bg_doorbell_stale = false;
-            let db = self.rot.mailbox.doorbell_pending();
-            self.rot.sync_irq_level(db);
-            db
-        } else {
-            self.bg_doorbell
-        };
+        // The doorbell level only moves when the writer rings it, the RoT
+        // completes a check, or a trap tears the exchange down; the IRQ
+        // fabric is synced (and the level re-read) after each of those.
+        let mut doorbell = self.rot.sync_irq();
         // A completion the RoT wrote at the tail of the previous advance
         // may not have been observed yet: force one writer tick before
         // trusting the event schedule. Carried across calls so the common
@@ -697,14 +676,12 @@ impl SystemOnChip {
             };
             if done {
                 self.bg_poke = poke;
-                self.bg_doorbell = doorbell;
                 return;
             }
             // True idleness: nothing moves until the host acts again. A
             // pending poke tick would be a no-op here (idle writer, empty
             // queue), so it is dropped rather than carried.
             if self.queue.is_empty() && !self.writer.busy() && !doorbell {
-                self.bg_doorbell = doorbell;
                 self.bg_cycle = self.bg_cycle.max(until);
                 self.rot.core.advance_to(self.bg_cycle);
                 return;
@@ -760,20 +737,15 @@ impl SystemOnChip {
                 if let Some(v) = self.writer.tick_probed(
                     self.bg_cycle,
                     &mut self.queue,
-                    &self.rot.mailbox,
+                    self.rot.mailbox_mut(),
                     self.observers.probe(),
                 ) {
                     self.violations.push(v);
                 }
-                // The writer may have rung the doorbell on its final beat;
-                // refresh the cached level before deciding the RoT step,
-                // exactly as the per-tick path syncs the IRQ fabric between
-                // the writer and the core.
-                let db = self.rot.mailbox.doorbell_pending();
-                if db != doorbell {
-                    doorbell = db;
-                    self.rot.sync_irq_level(doorbell);
-                }
+                // The writer may have rung the doorbell on its final beat:
+                // sync before deciding the RoT step, exactly as the
+                // per-tick path syncs between the writer and the core.
+                doorbell = self.rot.sync_irq();
             }
             let rot_steps = self.rot_health == RotHealth::Healthy
                 && (self.rot.core.state() == ibex_model::IbexState::Running || doorbell)
@@ -788,11 +760,7 @@ impl SystemOnChip {
                             // observe it on the next tick, as it would when
                             // ticked every cycle.
                             poke = true;
-                            let db = self.rot.mailbox.doorbell_pending();
-                            if db != doorbell {
-                                doorbell = db;
-                                self.rot.sync_irq_level(doorbell);
-                            }
+                            doorbell = self.rot.sync_irq();
                         }
                     }
                     Err(ibex_model::IbexEvent::Trapped(t)) => rot_trap = Some(t),
@@ -801,8 +769,7 @@ impl SystemOnChip {
             }
             if let Some(t) = rot_trap.or(injected_trap) {
                 self.record_firmware_trap(t);
-                doorbell = self.rot.mailbox.doorbell_pending();
-                self.rot.sync_irq_level(doorbell);
+                doorbell = self.rot.sync_irq();
             }
             self.bg_cycle += 1;
         }
@@ -907,13 +874,12 @@ impl SystemOnChip {
             rec.counter_add("fw.traps", 1);
             rec.instant(Track::Firmware, "fault.trap", cycle);
         }
-        if let Some(inj) = &self.injector {
+        if let Some(inj) = self.writer.injector_mut() {
             inj.note_detected(FaultClass::FirmwareTrap);
             inj.note_escalated();
         }
         // Clear the interface so neither side spins on a dead exchange.
-        self.rot.mailbox.host_abort();
-        self.bg_doorbell_stale = true;
+        self.rot.mailbox_mut().host_abort();
     }
 
     /// The recorded firmware trap, if any.
@@ -1104,7 +1070,9 @@ impl SystemOnChip {
         let mut guard = 0u64;
         while !(self.firmware_trap().is_some()
             && self.config.resilience.policy == FailPolicy::FailClosed)
-            && (!self.queue.is_empty() || self.writer.busy() || self.rot.mailbox.doorbell_pending())
+            && (!self.queue.is_empty()
+                || self.writer.busy()
+                || self.rot.mailbox().doorbell_pending())
             && guard < 10_000_000
         {
             self.tick_once();
@@ -1144,7 +1112,7 @@ impl SystemOnChip {
             logs_dropped: self.writer.dropped_logs,
             forced_violations: self.writer.forced_violations,
             firmware_trap: self.firmware_trap(),
-            faults: self.injector.as_ref().map(FaultInjector::report),
+            faults: self.writer.injector().map(FaultInjector::report),
             harts,
         }
     }
@@ -1235,7 +1203,7 @@ mod tests {
         assert!(report.harts.iter().all(|h| h.halt == Halt::Breakpoint));
         // Every ring passed the word-7 integrity check, and the one
         // writer's sequence numbers ran gap-free across both harts.
-        let mailbox = &soc.rot.mailbox;
+        let mailbox = soc.rot.mailbox();
         assert_eq!(mailbox.integrity_rejects(), 0);
         assert_eq!(mailbox.seq_gaps(), 0);
         assert_eq!(mailbox.seq_duplicates(), 0);

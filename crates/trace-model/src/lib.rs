@@ -17,6 +17,8 @@
 //! Table II uses queue depth 1, Table III depth 8, with the three check
 //! latencies measured from the firmware (≈267 / 112 / 73 cycles).
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 
 use cva6_model::Commit;

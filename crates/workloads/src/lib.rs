@@ -11,6 +11,8 @@
 //!   published benchmark's statistics, which drive the trace model to
 //!   regenerate Tables II and III.
 
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 pub mod kernels_ext;
 pub mod published;
